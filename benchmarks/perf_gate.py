@@ -44,14 +44,16 @@ import scipy.sparse as sp
 from repro.core.model import BSG4BotModel
 from repro.datasets import load_benchmark
 from repro.ppr import multi_source_ppr
-from repro.sampling import BiasedSubgraphBuilder, collate_many, collate_subgraphs
+from repro.sampling import BiasedSubgraphBuilder, collate_many
 from repro.tensor import softmax
 from repro.tensor.replay import ReplayEngine
 
 try:  # package import (pytest adds the repo root to sys.path)
     from benchmarks.bench_ingest import gate_metrics as ingest_gate_metrics
+    from benchmarks.bench_training import block_diag_collate
 except ImportError:  # script import (sys.path[0] is benchmarks/)
     from bench_ingest import gate_metrics as ingest_gate_metrics
+    from bench_training import block_diag_collate
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_perfgate.json"
 THRESHOLDS_PATH = Path(__file__).parent / "thresholds.json"
@@ -79,12 +81,11 @@ def bench_collation(graph, store) -> dict:
     rng = np.random.default_rng(0)
     order = rng.permutation(graph.num_nodes)
     chunks = [order[start : start + BATCH_SIZE] for start in range(0, order.size, BATCH_SIZE)]
-    # Warm both paths (per-subgraph normalization caches / the flat pack).
-    [collate_subgraphs(store.subgraphs(chunk), graph) for chunk in chunks]
+    # Normalize the reference's blocks and build the flat pack before timing,
+    # so both paths are timed on assembly alone.
+    reference_collate = block_diag_collate(store, graph)
     [collate_many(store, chunk) for chunk in chunks]
-    reference_s, _ = _best_of(
-        3, lambda: [collate_subgraphs(store.subgraphs(c), graph) for c in chunks]
-    )
+    reference_s, _ = _best_of(3, lambda: [reference_collate(c) for c in chunks])
     flat_s, _ = _best_of(3, lambda: [collate_many(store, c) for c in chunks])
     cached_s, _ = _best_of(3, lambda: [store.collate(c) for c in chunks])
     return {

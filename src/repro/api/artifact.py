@@ -10,10 +10,10 @@ without retraining:
 * ``model.npz`` — the subgraph GNN weights;
 * ``preclassifier.npz`` — the pre-trained MLP classifier weights (needed to
   construct biased subgraphs for nodes the store has not seen yet);
-* ``store.npz`` — the constructed :class:`repro.sampling.SubgraphStore`,
-  including the normalized collation pack, so a loaded detector reproduces
-  ``predict_proba`` bit-identically and starts serving without rebuilding
-  anything.
+* ``store.npz`` — the constructed :class:`repro.sampling.SubgraphStore`
+  (raw subgraph edges only; the normalized collation pack is rebuilt in one
+  pass on the first collation), so a loaded detector reproduces
+  ``predict_proba`` bit-identically without rebuilding any subgraph.
 
 .. code-block:: python
 

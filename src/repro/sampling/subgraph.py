@@ -11,9 +11,10 @@ that batch:
   per-subgraph CSR blocks one at a time and calls ``sp.block_diag`` per
   relation; simple, but a Python loop over subgraphs on every call.
 * :func:`collate_many` — the vectorized epoch engine.  Each relation's
-  normalized block is stored **once** as flat ``rowcounts``/``indices``/
-  ``data`` arrays on the :class:`SubgraphStore` (a :class:`_CollationPack`);
-  a batch is then assembled by a handful of segment gathers plus one
+  normalized block is kept **once**, as flat ``rowcounts``/``indices``/
+  ``data`` arrays on the :class:`SubgraphStore` (a :class:`_CollationPack`,
+  normalized in one pass over the raw edges and never saved to disk); a
+  batch is then assembled by a handful of segment gathers plus one
   ``cumsum`` for the block-diagonal ``indptr`` — no per-subgraph ``coo→csr``,
   no ``sp.block_diag``, no Python loop.  The two paths produce bit-identical
   :class:`SubgraphBatch` contents (equivalence-tested).
@@ -77,19 +78,13 @@ class Subgraph:
         return matrix
 
     def normalized_relation_adjacency(self, relation: str) -> sp.csr_matrix:
-        """Symmetric-normalised local adjacency, cached per relation.
+        """Symmetric-normalised local adjacency ``D^-1/2 (A + Aᵀ + I) D^-1/2``.
 
-        Collation re-uses each subgraph across many epochs, so caching the
-        normalisation here removes the dominant cost of batch assembly.
+        The per-subgraph reference for the collation pack, which normalizes
+        every stored block at once (:func:`_pack_relation`).
         """
-        cache = getattr(self, "_norm_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_norm_cache", cache)
-        if relation not in cache:
-            adjacency = self.relation_adjacency(relation)
-            cache[relation] = normalized_adjacency(adjacency + adjacency.T, self_loops=True)
-        return cache[relation]
+        adjacency = self.relation_adjacency(relation)
+        return normalized_adjacency(adjacency + adjacency.T, self_loops=True)
 
     def center_homophily(self, labels: np.ndarray, relation: Optional[str] = None) -> float:
         """Homophily ratio of the center node inside this subgraph (Figure 8)."""
@@ -261,46 +256,72 @@ class _CollationPack:
             start = base.num_subgraphs
         tail = list(subgraphs)[start:]
 
-        empty_i = np.empty(0, dtype=np.int64)
         tail_counts = np.array([sg.num_nodes for sg in tail], dtype=np.int64)
-        tail_nodes = [sg.nodes for sg in tail]
-        if start:
-            node_counts = np.concatenate([base.node_counts, tail_counts])
-            nodes_flat = (
-                np.concatenate([base.nodes_flat, *tail_nodes]) if tail else base.nodes_flat
-            )
-        else:
-            node_counts = tail_counts
-            nodes_flat = np.concatenate(tail_nodes) if tail else empty_i
+        tail_offsets = _cumsum_offsets(tail_counts)
+        head_nodes = base.nodes_flat if start else np.empty(0, dtype=np.int64)
+        nodes_flat = np.concatenate([head_nodes, *(sg.nodes for sg in tail)])
+        node_counts = np.concatenate([base.node_counts, tail_counts]) if start else tail_counts
 
         relations: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         for name in relation_names:
-            blocks = [
-                sg.normalized_relation_adjacency(name)
-                if normalize
-                else sg.relation_adjacency(name)
-                for sg in tail
-            ]
-            rowcounts = [np.diff(block.indptr).astype(np.int64) for block in blocks]
-            indices = [block.indices.astype(np.int64, copy=False) for block in blocks]
-            data = [np.asarray(block.data, dtype=np.float64) for block in blocks]
-            nnz_counts = np.array([block.nnz for block in blocks], dtype=np.int64)
+            rowcounts, indices, data, nnz_counts = _pack_relation(
+                tail, name, tail_offsets, normalize
+            )
             if start:
                 base_rows, base_idx, base_data, base_off = base.relations[name]
-                relations[name] = (
-                    np.concatenate([base_rows, *rowcounts]) if blocks else base_rows,
-                    np.concatenate([base_idx, *indices]) if blocks else base_idx,
-                    np.concatenate([base_data, *data]) if blocks else base_data,
-                    _cumsum_offsets(np.concatenate([np.diff(base_off), nnz_counts])),
-                )
-            else:
-                relations[name] = (
-                    np.concatenate(rowcounts) if blocks else empty_i,
-                    np.concatenate(indices) if blocks else empty_i,
-                    np.concatenate(data) if blocks else np.empty(0, dtype=np.float64),
-                    _cumsum_offsets(nnz_counts),
-                )
+                rowcounts = np.concatenate([base_rows, rowcounts])
+                indices = np.concatenate([base_idx, indices])
+                data = np.concatenate([base_data, data])
+                nnz_counts = np.concatenate([np.diff(base_off), nnz_counts])
+            relations[name] = (rowcounts, indices, data, _cumsum_offsets(nnz_counts))
         return cls(centers, node_counts, _cumsum_offsets(node_counts), nodes_flat, relations)
+
+
+def _pack_relation(  # oracle: normalized_relation_adjacency
+    subgraphs: Sequence[Subgraph],
+    relation: str,
+    node_offsets: np.ndarray,
+    normalize: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row counts, block-local columns, values and per-block nnz of every
+    subgraph's :meth:`Subgraph.normalized_relation_adjacency` block
+    (:meth:`Subgraph.relation_adjacency` without ``normalize``).
+
+    The blocks are disjoint, so one pass over the raw edges, shifted by the
+    blocks' first rows ``node_offsets``, builds them all: duplicates
+    collapse to 1; with ``normalize``, Aᵀ and self-loops join A and each
+    entry becomes ``inv_sqrt[row] * inv_sqrt[col]``, the degrees being the
+    integer row counts.  Columns are sorted within rows, as in the oracle.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    edges = [sg.relation_edges.get(relation, (empty, empty)) for sg in subgraphs]
+    edge_counts = [len(src) for src, _ in edges]
+    shift = np.repeat(node_offsets[:-1], edge_counts)
+    rows = np.concatenate([empty, *(src for src, _ in edges)]) + shift
+    cols = np.concatenate([empty, *(dst for _, dst in edges)]) + shift
+    # Stored edges may come from an archive on disk: one out of its block
+    # would silently join another subgraph's block.
+    if (np.minimum(rows, cols) < shift).any() or (
+        np.maximum(rows, cols) >= np.repeat(node_offsets[1:], edge_counts)
+    ).any():
+        raise ValueError(f"relation {relation!r} has an edge outside its subgraph")
+    total = int(node_offsets[-1])
+    if normalize:
+        loops = np.arange(total, dtype=np.int64)
+        rows, cols = np.concatenate([rows, cols, loops]), np.concatenate([cols, rows, loops])
+    # Row-major keys, sorted: by row, then by column; duplicates dropped.
+    keys = np.sort(rows * total + cols)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows, cols = np.divmod(keys, max(total, 1))
+    rowcounts = np.bincount(rows, minlength=total).astype(np.int64)
+    if normalize:
+        inv_sqrt = 1.0 / np.sqrt(rowcounts.astype(np.float64))
+        data = inv_sqrt[rows] * inv_sqrt[cols]
+    else:
+        data = np.ones(rows.size, dtype=np.float64)
+    row_starts = np.repeat(node_offsets[:-1], np.diff(node_offsets))
+    nnz_counts = np.diff(_cumsum_offsets(rowcounts)[node_offsets])
+    return rowcounts, cols - row_starts[rows], data, nnz_counts
 
 
 def _collate_flat(
@@ -521,9 +542,8 @@ class SubgraphStore:
         """Drop the stored subgraphs for ``centers`` (missing ones ignored).
 
         Removing entries invalidates the flat collation packs and the
-        collated-batch cache; untouched subgraphs themselves are kept (with
-        their cached per-relation normalizations), so the next collation
-        rebuild only re-packs — it does not re-normalize anything.
+        collated-batch cache; untouched subgraphs themselves are kept, and
+        the next collation re-packs the remaining store in one pass.
         """
         removed = 0
         with self._lock:
@@ -661,14 +681,13 @@ class SubgraphStore:
     # Disk serialization — lets experiment scripts reuse a store instead of
     # rebuilding the same subgraphs for every figure/table.
     # ------------------------------------------------------------------
-    def save(self, path, include_normalized: bool = True) -> None:
+    def save(self, path) -> None:
         """Serialize all stored subgraphs to one ``.npz`` file.
 
         The ragged per-subgraph arrays are packed as flat data + offset
         arrays, so the file round-trips through plain ``np.savez`` without
-        pickling.  The normalized collation pack is persisted alongside the
-        raw edges (unless ``include_normalized=False``), so a loaded store
-        starts its first epoch without re-normalizing anything.
+        pickling.  Only the raw edges are written: the collation pack is
+        derived data, rebuilt in one pass on the first collation.
         """
         with self._lock:
             subgraphs = list(self._store.values())
@@ -695,16 +714,6 @@ class SubgraphStore:
                 [np.asarray(src) for src, _ in edges]
             )
             payload[f"dst_{index}"], _ = pack([np.asarray(dst) for _, dst in edges])
-        if include_normalized and subgraphs:
-            norm = self._collation_pack(True)
-            payload["norm_relation_names"] = np.array(list(norm.relations), dtype=np.str_)
-            for index, (rowcounts, indices, data, offsets) in enumerate(
-                norm.relations.values()
-            ):
-                payload[f"norm_rowcounts_{index}"] = rowcounts
-                payload[f"norm_indices_{index}"] = indices
-                payload[f"norm_data_{index}"] = data
-                payload[f"norm_offsets_{index}"] = offsets
         # Write-then-rename so an interrupted save never leaves a truncated
         # archive behind for later runs to choke on.
         path = Path(path)
@@ -717,10 +726,9 @@ class SubgraphStore:
     def load(cls, path, graph: HeteroGraph) -> "SubgraphStore":
         """Rebuild a store saved with :meth:`save` against ``graph``.
 
-        Files written by newer :meth:`save` calls carry the normalized
-        collation pack; it is restored directly so the first training epoch
-        does not pay for re-normalization.  Older files (without the pack)
-        still load — the pack is then rebuilt lazily on first collation.
+        The collation pack is rebuilt lazily on the first collation.  Older
+        archives also carry the normalized pack as ``norm_*`` arrays; those
+        are ignored.
         """
         with np.load(path) as payload:
             centers = payload["centers"]
@@ -743,24 +751,6 @@ class SubgraphStore:
                     relation_edges[name] = (src[lo:hi].copy(), dst[lo:hi].copy())
                 store.add(
                     Subgraph(center=int(center), nodes=nodes.copy(), relation_edges=relation_edges)
-                )
-            if "norm_relation_names" in payload:
-                relations = {
-                    str(name): (
-                        payload[f"norm_rowcounts_{index}"],
-                        payload[f"norm_indices_{index}"],
-                        payload[f"norm_data_{index}"],
-                        payload[f"norm_offsets_{index}"],
-                    )
-                    for index, name in enumerate(payload["norm_relation_names"])
-                }
-                node_counts = np.diff(node_offsets).astype(np.int64)
-                store._packs[True] = _CollationPack(
-                    centers=np.asarray(centers, dtype=np.int64),
-                    node_counts=node_counts,
-                    node_offsets=np.asarray(node_offsets, dtype=np.int64),
-                    nodes_flat=np.asarray(nodes_flat, dtype=np.int64),
-                    relations=relations,
                 )
         return store
 

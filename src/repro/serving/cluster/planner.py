@@ -46,7 +46,7 @@ from typing import Dict, List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph import HeteroGraph
+from repro.graph import HeteroGraph, to_symmetric
 from repro.ppr.batch import multi_source_ppr
 from repro.sampling.clustering import greedy_partition
 
@@ -126,7 +126,7 @@ class ShardPlan:
         full_sym = _symmetrized_relations(graph)
         for spec in self.shards:
             failure = _verify_shard(
-                spec, full_sym, self.ppr_alpha, self.ppr_epsilon
+                spec, graph, full_sym, self.ppr_alpha, self.ppr_epsilon
             )
             if failure is not None:
                 raise ShardPlanError(
@@ -143,13 +143,7 @@ class ShardPlanError(RuntimeError):
 # ----------------------------------------------------------------------
 def _symmetrized_relations(graph: HeteroGraph) -> Dict[str, sp.csr_matrix]:
     """Per-relation symmetrized adjacency — exactly what the builders push on."""
-    out: Dict[str, sp.csr_matrix] = {}
-    for name in graph.relation_names:
-        adjacency = graph.relation(name).adjacency()
-        sym = (adjacency + adjacency.T).tocsr()
-        sym.data[:] = 1.0
-        out[name] = sym
-    return out
+    return {name: to_symmetric(graph.relation(name).adjacency()) for name in graph.relation_names}
 
 
 def _expand_closure(
@@ -203,6 +197,7 @@ def _local_graph(
 
 def _verify_shard(
     spec: ShardSpec,
+    graph: HeteroGraph,
     full_sym: Dict[str, sp.csr_matrix],
     alpha: float,
     epsilon: float,
@@ -216,9 +211,18 @@ def _verify_shard(
     member sets, and equal induced adjacency blocks — the whole per-center
     subgraph pipeline, hence (with identical embeddings and weights) equal
     scores at equal batching.
+
+    A shard whose closure is the whole node set skips the sweeps: equal
+    edge lists mean both would push on the same adjacency.
     """
     sources = spec.owned
     if sources.size == 0:
+        return None
+    if spec.closure_mask.all():
+        for name in graph.relation_names:
+            full, local = graph.relation(name), spec.graph.relation(name)
+            if not (np.array_equal(full.src, local.src) and np.array_equal(full.dst, local.dst)):
+                return f"local edges differ from the full graph on relation {name!r}"
         return None
     local_sym = _symmetrized_relations(spec.graph)
     for name, full in full_sym.items():
@@ -285,7 +289,7 @@ def plan_shards(
             )
             if not verify:
                 break
-            failure = _verify_shard(spec, full_sym, ppr_alpha, ppr_epsilon)
+            failure = _verify_shard(spec, graph, full_sym, ppr_alpha, ppr_epsilon)
             if failure is None:
                 break
             if hops >= max_halo_hops or closure_mask.all():

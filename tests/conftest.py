@@ -140,3 +140,18 @@ def _sanitize_shm_census():
     shutdown_shared_pool()
     leaks = sanitizer.shm_leaks()
     assert not leaks, "shared-memory segments leaked:\n" + "\n".join(leaks)
+
+
+def assert_same_batch(reference, flat) -> None:
+    """Bit-identical SubgraphBatch contents (the acceptance contract)."""
+    np.testing.assert_array_equal(reference.features, flat.features)
+    np.testing.assert_array_equal(reference.center_positions, flat.center_positions)
+    np.testing.assert_array_equal(reference.center_nodes, flat.center_nodes)
+    np.testing.assert_array_equal(reference.labels, flat.labels)
+    assert set(reference.relation_adjacencies) == set(flat.relation_adjacencies)
+    for name, left in reference.relation_adjacencies.items():
+        right = flat.relation_adjacencies[name]
+        assert left.shape == right.shape
+        for field in ("indptr", "indices", "data"):
+            assert getattr(left, field).dtype == getattr(right, field).dtype, field
+            np.testing.assert_array_equal(getattr(left, field), getattr(right, field))

@@ -10,7 +10,8 @@ import pytest
 from repro import api
 from repro.core import BSG4Bot, BSG4BotConfig
 from repro.core.serialization import ArtifactError, MANIFEST_NAME
-from tests.conftest import make_separable_graph
+from repro.sampling import collate_subgraphs
+from tests.conftest import assert_same_batch, make_separable_graph
 
 
 @pytest.fixture(scope="module")
@@ -86,16 +87,30 @@ class TestRoundTrip:
 
 
 class TestLegacyAndErrors:
-    def test_legacy_store_without_collation_pack(self, trained, tmp_path):
-        """Pre-pack store archives (no ``norm_*`` arrays) still round-trip."""
+    def test_store_archive_with_normalized_pack_loads(self, trained, tmp_path):
+        """Artifacts and store caches written before ``store.npz`` dropped
+        the normalized pack still carry it as ``norm_*`` arrays: ``load``
+        ignores them and collates and scores bit-identically."""
         detector, graph = trained
         expected = detector.predict_proba(graph)
         path = api.save_detector(detector, tmp_path / "artifact")
-        # Rewrite the store the way older code serialized it: raw edges only.
-        detector.store.save(path / "store.npz", include_normalized=False)
+        # Add the pack the way older saves wrote it.
         with np.load(path / "store.npz") as payload:
-            assert "norm_relation_names" not in payload.files
+            arrays = dict(payload)
+        pack = detector.store._collation_pack(True)
+        arrays["norm_relation_names"] = np.array(list(pack.relations), dtype=np.str_)
+        for index, (rowcounts, indices, data, offsets) in enumerate(pack.relations.values()):
+            arrays[f"norm_rowcounts_{index}"] = rowcounts
+            arrays[f"norm_indices_{index}"] = indices
+            arrays[f"norm_data_{index}"] = data
+            arrays[f"norm_offsets_{index}"] = offsets
+        np.savez_compressed(path / "store.npz", **arrays)
+
         loaded = api.load_detector(path, graph=graph)
+        assert not loaded.store.has_collation_pack(normalize=True)
+        centers = np.sort(loaded.store.nodes())
+        reference = collate_subgraphs(loaded.store.subgraphs(centers), graph)
+        assert_same_batch(reference, loaded.store.collate(centers))
         np.testing.assert_array_equal(loaded.predict_proba(graph), expected)
 
     def test_corrupted_manifest_rejected(self, trained, tmp_path):

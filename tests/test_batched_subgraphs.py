@@ -12,7 +12,7 @@ from repro.sampling import (
     Subgraph,
     SubgraphStore,
 )
-from tests.conftest import make_separable_graph
+from tests.conftest import assert_same_batch, make_separable_graph
 
 
 @pytest.fixture(scope="module")
@@ -135,45 +135,31 @@ class TestStoreSerialization:
             )
             assert abs(delta).max() < 1e-12
 
-    def test_roundtrip_persists_normalized_blocks(
+    def test_roundtrip_writes_raw_edges_only(
         self, tmp_path, hetero_graph, builder, monkeypatch
     ):
-        """save/load carries the normalized collation pack, so a loaded store
-        collates its first epoch without re-normalizing anything."""
+        """``save`` writes no ``norm_*`` arrays but keeps ``centers`` and
+        ``node_offsets``; the loaded store rebuilds its pack in one pass and
+        collates bit-identically without any per-subgraph normalization."""
         store = builder.build_store(range(15))
         expected = store.collate(range(15))
         path = tmp_path / "store.npz"
         store.save(path)
-        loaded = SubgraphStore.load(path, hetero_graph)
-        assert loaded.has_collation_pack(normalize=True)
-
-        def fail(*args, **kwargs):  # pragma: no cover - only on regression
-            raise AssertionError("loaded store re-normalized a subgraph")
-
-        monkeypatch.setattr(Subgraph, "normalized_relation_adjacency", fail)
-        restored = loaded.collate(range(15))
-        np.testing.assert_array_equal(expected.features, restored.features)
-        for relation, left in expected.relation_adjacencies.items():
-            right = restored.relation_adjacencies[relation]
-            np.testing.assert_array_equal(left.indptr, right.indptr)
-            np.testing.assert_array_equal(left.indices, right.indices)
-            np.testing.assert_array_equal(left.data, right.data)
-
-    def test_legacy_file_without_normalized_blocks_loads(
-        self, tmp_path, hetero_graph, builder
-    ):
-        """Pre-epoch-engine archives (no ``norm_*`` arrays) still load; the
-        pack is then rebuilt lazily on first collation."""
-        store = builder.build_store(range(8))
-        path = tmp_path / "store.npz"
-        store.save(path, include_normalized=False)
+        with np.load(path) as payload:
+            assert not [key for key in payload.files if key.startswith("norm_")]
+            np.testing.assert_array_equal(payload["centers"], store.nodes())
+            np.testing.assert_array_equal(
+                np.diff(payload["node_offsets"]),
+                [subgraph.num_nodes for subgraph in store.subgraphs()],
+            )
         loaded = SubgraphStore.load(path, hetero_graph)
         assert not loaded.has_collation_pack(normalize=True)
-        batch = loaded.collate(range(8))
-        expected = store.collate(range(8))
-        for relation, left in expected.relation_adjacencies.items():
-            right = batch.relation_adjacencies[relation]
-            np.testing.assert_array_equal(left.data, right.data)
+
+        def fail(*args, **kwargs):  # pragma: no cover - only on regression
+            raise AssertionError("collation re-normalized a single subgraph")
+
+        monkeypatch.setattr(Subgraph, "normalized_relation_adjacency", fail)
+        assert_same_batch(expected, loaded.collate(range(15)))
 
 
 class TestSharedWorkerPool:

@@ -97,12 +97,30 @@ class TestShardPlan:
         assert plan.verified
         plan.verify(graph)  # must not raise
 
-    def test_single_shard_plan_degenerates_to_full_graph(self):
+    def test_single_shard_plan_degenerates_to_full_graph(self, monkeypatch):
+        """A closure covering the whole graph is verified by comparing edge
+        lists: neither planning nor re-verification runs a PPR sweep."""
+        from repro.serving.cluster import planner
+
+        def fail(*args, **kwargs):  # pragma: no cover - only on regression
+            raise AssertionError("whole-graph shard ran a PPR sweep")
+
+        monkeypatch.setattr(planner, "multi_source_ppr", fail)
         graph = _make_graph()
         plan = plan_shards(graph, 1, seed=0, verify=True)
-        assert plan.num_shards == 1
+        assert plan.num_shards == 1 and plan.verified
         assert plan.shards[0].num_owned == GRAPH_NODES
         assert plan.shards[0].graph.num_edges == graph.num_edges
+        plan.verify(graph)  # must not raise
+
+        # A new edge the shard's local graph lacks fails verification.
+        grown = _make_graph()
+        relation = grown.relation(grown.relation_names[0])
+        linked = relation.adjacency() + relation.adjacency().T
+        target = int(np.flatnonzero(linked[0].toarray().ravel() == 0)[1])
+        relation.add_edges(np.array([0]), np.array([target]))
+        with pytest.raises(planner.ShardPlanError, match="local edges differ"):
+            plan.verify(grown)
 
     def test_stats_schema(self):
         plan = plan_shards(_make_graph(), 2, seed=0, verify=False)
@@ -213,6 +231,10 @@ class TestRouterUpdates:
         rows = handle.result(30.0)
         owner = int(router.plan.ownership[node])
         assert handle.delta_seqs[owner] >= sequences[owner]
+        np.testing.assert_array_equal(router.plan.shards[owner].graph.features[node], new_row)
+        # Shards that served no read apply the row from their idle loop;
+        # once drained, every local copy holds it.
+        router.drain()
         for spec in router.plan.shards:
             np.testing.assert_array_equal(spec.graph.features[node], new_row)
         router.close()
