@@ -5,7 +5,7 @@ serving:
 
 * **Synthetic generation + ingestion** — rows/s through the chunked
   assembly path for a seeded :class:`SyntheticBotnetAdapter` graph (the
-  input the scale/cluster benches now draw from).  Fingerprints of two
+  input the scale bench draws from).  Fingerprints of two
   independent ingests are asserted identical, so a generator that got
   faster by becoming nondeterministic fails the run.
 * **CSV parse + ingestion** — rows/s for a generated on-disk CSV dataset

@@ -4,7 +4,7 @@ Runs small, deterministic micro-benchmarks over the engine's hot paths —
 flat collation, the PPR sweep (dense / column-sparse / sparse-frontier), a
 batched subgraph build, the capture-and-replay model forward, dataset
 adapter ingestion (chunked throughput + cache warm start), and the
-sharded cluster router's throughput scaling — then gates two ways:
+serving path's tracing overhead — then gates two ways:
 
 * **Absolute bounds** (always): compare against ``benchmarks/thresholds.json``.
   Wall-clock thresholds carry a tolerance multiplier (CI runners are slower
@@ -216,49 +216,6 @@ def bench_tracing(graph, store) -> dict:
     }
 
 
-def bench_cluster_scaling() -> dict:
-    """Sharded-router throughput vs the single-shard baseline.
-
-    A small partition-local run of the cluster benchmark (light training
-    schedule, two rungs, best-of-two passes per rung).  The ratio's
-    ceiling is ~1.0 on a single-CPU host — shard dispatchers cannot
-    overlap there — so the absolute floor in ``thresholds.json`` only
-    bounds sharding overhead, and the rolling-best relative ratchet holds
-    multi-core runners at whatever scaling they have actually shown.  The
-    run itself asserts every per-shard wave replays bit-identically
-    through serial full-graph scoring and that teardown leaks nothing, so
-    a "fast but wrong" shard plan fails the gate outright.
-    """
-    from repro.serving.cluster.bench import run_cluster_benchmark
-
-    result = run_cluster_benchmark(
-        num_users=200,
-        shard_ladder=(1, 2),
-        clients=8,
-        requests_per_client=8,
-        nodes_per_request=4,
-        max_batch_size=32,
-        max_wait_ms=6.0,
-        seed=0,
-        repeats=2,
-        overrides={
-            "pretrain_epochs": 10,
-            "pretrain_hidden_dim": 32,
-            "hidden_dim": 64,
-            "subgraph_k": 8,
-            "max_epochs": 2,
-            "min_epochs": 1,
-            "patience": 2,
-            "batch_size": 64,
-        },
-    )
-    return {
-        "cluster_throughput_scaling": result["cluster_throughput_scaling"],
-        "cluster_available_cpus": result["available_cpus"],
-        "cluster_bit_identical_waves": result["bit_identical_waves"],
-    }
-
-
 def bench_build(graph):
     """Timed full-store build; returns (metrics, store) for reuse downstream."""
     builder = BiasedSubgraphBuilder(graph, graph.features, k=SUBGRAPH_K)
@@ -282,8 +239,6 @@ def run(output_path: Path = RESULTS_PATH) -> dict:
         # Traced-vs-untraced serving throughput (observability must stay
         # cheap enough to leave armed).
         **bench_tracing(graph, store),
-        # Last: its teardown shuts the shared construction pool down.
-        **bench_cluster_scaling(),
     }
     result = {
         "scale": {

@@ -10,7 +10,7 @@ ground-truth labels), ingests it through the chunked adapter path twice —
 once cold, once as a content-addressed cache hit with an identical graph
 fingerprint — trains a small BSG4Bot on the result, and saves an artifact
 whose manifest records the *spec* as dataset provenance.  It then stands
-up the sharded HTTP serving front door from the artifact alone (no graph
+up the HTTP serving front door from the artifact alone (no graph
 passed: the spec is replayed from provenance, hitting the ingest cache),
 scores nodes over real HTTP, and compares the verdicts against the
 generator's ground truth.  Shutdown is clean: no dispatcher threads, no
@@ -98,16 +98,15 @@ def main() -> None:
         print(f"  artifact saved to {artifact} (manifest records the spec)")
 
         print("\nServing from the artifact ALONE — provenance replays the spec")
-        print("(a warm cache hit), partitions 2 shards, verifies halos...")
+        print("(a warm cache hit) into one detection service...")
         router = ShardRouter.from_artifact(
-            artifact, num_shards=2, seed=0, max_batch_size=32, max_wait_ms=3.0,
+            artifact, max_batch_size=32, max_wait_ms=3.0,
         )
         try:
             with ServerThread(router) as server:
                 health = server.request("/healthz")
                 print(
-                    f"  http://127.0.0.1:{server.port} — healthz: "
-                    f"{health['status']} ({health['num_shards']} shards)"
+                    f"  http://127.0.0.1:{server.port} — healthz: {health['status']}"
                 )
 
                 nodes = list(range(24))
@@ -133,7 +132,7 @@ def main() -> None:
                 )
         finally:
             router.close()
-        print("\nClean shutdown: services closed, pool released, shm empty.")
+        print("\nClean shutdown: service closed, pool released, shm empty.")
 
 
 if __name__ == "__main__":

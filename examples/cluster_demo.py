@@ -1,19 +1,18 @@
-"""Cluster serving demo: sharded router + asyncio HTTP front door.
+"""HTTP serving demo: one detection service behind the asyncio front door.
 
 Run with::
 
     python examples/cluster_demo.py
 
 The script trains a small BSG4Bot, saves it as an artifact (the same files
-``repro fit`` writes), partitions the graph into two shards with verified
-halos, and stands up the asyncio HTTP/JSON service on a local port — the
-in-process equivalent of ``repro serve <artifact> --num-shards 2``.  It
-then drives every endpoint over real HTTP: concurrent ``POST /score``
-requests fan out to their owning shards and fan back in, a ``POST
-/update`` streams a graph mutation to every shard it touches, a follow-up
-score shows read-your-writes through the per-shard delta sequences, and
-``GET /healthz`` / ``GET /metrics`` report the fleet.  Shutdown is clean:
-no dispatcher threads, no process pool, no shared-memory segments left.
+``repro fit`` writes), loads it into one :class:`DetectionService`, and
+stands up the asyncio HTTP/JSON front door on a local port — the
+in-process equivalent of ``repro serve <artifact>``.  It then drives every
+endpoint over real HTTP: concurrent ``POST /score`` requests coalesce into
+micro-batched waves, a ``POST /update`` streams a graph mutation, a
+follow-up score shows read-your-writes through the delta sequence, and
+``GET /healthz`` / ``GET /metrics`` report the service.  Shutdown is clean:
+no dispatcher thread, no process pool, no shared-memory segments left.
 """
 
 from __future__ import annotations
@@ -99,15 +98,9 @@ def main() -> None:
         artifact = api.save_detector(detector, Path(scratch) / "artifact")
         print(f"  artifact saved to {artifact}")
 
-        print("\nPlanning 2 shards (verified halos) and loading per-shard services...")
+        print("\nLoading the artifact into one detection service...")
         router = ShardRouter.from_artifact(
-            artifact, graph=graph, num_shards=2, seed=0,
-            max_batch_size=32, max_wait_ms=3.0,
-        )
-        stats = router.plan.stats()
-        print(
-            f"  owned={stats['owned_sizes']} halo={stats['halo_sizes']} "
-            f"hops={stats['halo_hops']} verified={stats['verified']}"
+            artifact, graph=graph, max_batch_size=32, max_wait_ms=3.0,
         )
 
         try:
@@ -115,7 +108,7 @@ def main() -> None:
                 health = server.request("/healthz")
                 print(
                     f"\nServing on http://127.0.0.1:{server.port} — healthz: "
-                    f"{health['status']} ({health['num_shards']} shards)"
+                    f"{health['status']}"
                 )
 
                 print("Firing 24 concurrent POST /score requests...")
@@ -136,31 +129,28 @@ def main() -> None:
                     {"edges_added": {relation: [[suspect] * 3, [1, 5, 9]]}},
                 )
                 print(
-                    f"POST /update (3 new '{relation}' edges) reached "
-                    f"shard(s) {sorted(update['shards'])}"
+                    f"POST /update (3 new '{relation}' edges) sequenced as "
+                    f"delta {update['shards']['0']}"
                 )
 
                 rescored = server.request("/score", {"nodes": [suspect]})
-                owner = str(int(router.plan.ownership[suspect]))
                 p_after = rescored["probabilities"][0][1]
                 print(
                     f"  rescore after update: p(bot|node {suspect}) "
                     f"{p_before:.3f} -> {p_after:.3f} "
-                    f"(read-your-writes: shard {owner} served at delta seq "
-                    f"{rescored['delta_seqs'][owner]} >= "
-                    f"{update['shards'][owner]})"
+                    f"(read-your-writes: served at delta seq "
+                    f"{rescored['delta_seqs']['0']} >= {update['shards']['0']})"
                 )
 
                 metrics = server.request("/metrics")
                 totals = metrics["cluster_totals"]
                 print(
                     f"GET /metrics: {totals['requests']} requests, "
-                    f"{totals['nodes_scored']} nodes scored in {totals['waves']} "
-                    f"waves across {len(metrics['shards'])} shards"
+                    f"{totals['nodes_scored']} nodes scored in {totals['waves']} waves"
                 )
         finally:
             router.close()
-    print("\nServer stopped, router closed: shards, pool and segments released.")
+    print("\nServer stopped, service closed: pool and segments released.")
 
 
 if __name__ == "__main__":

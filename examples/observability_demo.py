@@ -1,20 +1,19 @@
-"""Observability demo: tracing and metrics across a sharded cluster.
+"""Observability demo: tracing and metrics through the HTTP front door.
 
 Run with::
 
     python examples/observability_demo.py
 
-The script trains a small BSG4Bot, shards it across a 2-shard
-:class:`ShardRouter` with an always-sample :class:`Tracer` attached (the
-in-process equivalent of ``repro serve <artifact> --num-shards 2
---trace-sample 1.0``), and drives it over real HTTP.  Every ``POST
-/score`` carries an ``X-Repro-Request-Id`` header; the server echoes it
-and stitches one span tree per request — admission, shard fan-out,
-per-shard queue wait, wave collation, and the model forward — no matter
-how many shards the request touched.  The script then pulls ``GET
-/traces``, renders the slowest trace as a waterfall, and scrapes ``GET
-/metrics`` in both JSON (bucket-merged cluster totals) and Prometheus
-text form (validated with the strict parser the CI smoke step uses).
+The script trains a small BSG4Bot, loads it into one detection service
+with an always-sample :class:`Tracer` attached (the in-process equivalent
+of ``repro serve <artifact> --trace-sample 1.0``), and drives it over real
+HTTP.  Every ``POST /score`` carries an ``X-Repro-Request-Id`` header; the
+server echoes it and records one span tree per request — admission, queue
+wait, the wave with its collation and model forward.  The script then
+pulls ``GET /traces``, renders the slowest trace as a waterfall, and
+scrapes ``GET /metrics`` in both JSON (the service's totals) and
+Prometheus text form (validated with the strict parser the CI smoke step
+uses).
 """
 
 from __future__ import annotations
@@ -104,22 +103,20 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-obs-demo-") as scratch:
         artifact = api.save_detector(detector, Path(scratch) / "artifact")
 
-        print("\nSharding 2 ways with tracing armed (sample rate 1.0)...")
+        print("\nLoading one detection service with tracing armed (sample rate 1.0)...")
         tracer = Tracer(1.0, capacity=64)
         router = ShardRouter.from_artifact(
-            artifact, graph=graph, num_shards=2, seed=0,
-            max_batch_size=32, max_wait_ms=3.0,
+            artifact, graph=graph, max_batch_size=32, max_wait_ms=3.0,
             tracer=tracer, registry=MetricsRegistry(),
         )
         try:
             with ServerThread(router) as server:
                 print(f"Serving on http://127.0.0.1:{server.port}")
 
-                # One node owned by each shard: the request must fan out.
-                spanning = [int(spec.owned[0]) for spec in router.plan.shards]
-                print(f"POST /score for nodes {spanning} (spans both shards)...")
+                nodes = [0, 17, 42]
+                print(f"POST /score for nodes {nodes} with a request id...")
                 answer, headers = server.request(
-                    "/score", {"nodes": spanning},
+                    "/score", {"nodes": nodes},
                     headers={"X-Repro-Request-Id": "0bs3rvab1e0000d3"},
                 )
                 print(
@@ -127,7 +124,7 @@ def main() -> None:
                     f"{headers.get('X-Repro-Request-Id')} "
                     f"body={answer['request_id']}"
                 )
-                for node in range(8):  # some single-shard traffic for contrast
+                for node in range(8):  # some single-node traffic for contrast
                     server.request("/score", {"nodes": [node]})
 
                 listing, _ = server.request("/traces")
@@ -136,12 +133,9 @@ def main() -> None:
                     f"{listing['stats']['started']} started"
                 )
                 slowest = max(listing["traces"], key=lambda t: t["duration_s"])
-                legs = sum(
-                    1 for s in slowest["spans"] if s["name"] == "shard_leg"
-                )
                 print(
                     f"\nSlowest trace ({slowest['request_id']}, "
-                    f"{legs} shard leg(s)) as a waterfall:\n"
+                    f"{len(slowest['spans'])} spans) as a waterfall:\n"
                 )
                 print(render_waterfall(slowest))
 
@@ -150,8 +144,7 @@ def main() -> None:
                 latency = totals["request_latency"]
                 print(
                     f"GET /metrics (JSON): {totals['requests']} requests, "
-                    f"cluster p99 {latency['p99_s'] * 1000:.2f} ms "
-                    "(bucket-merged across shards)"
+                    f"p99 {latency['p99_s'] * 1000:.2f} ms"
                 )
 
                 text, _ = server.request(
@@ -165,7 +158,7 @@ def main() -> None:
                 )
         finally:
             router.close()
-    print("\nServer stopped, router closed.")
+    print("\nServer stopped, service closed.")
 
 
 if __name__ == "__main__":

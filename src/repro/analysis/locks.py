@@ -59,7 +59,6 @@ GUARDED_CLASSES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
             "_expedited",
         ),
     ),
-    "ShardRouter": ("_lock", ("_closed", "_requests", "_updates", "_registry_key")),
     "ClusterHTTPServer": ("_lock", ("_inflight", "_rejected")),
     "IngestCache": ("_lock", ("_memo",)),
     "ServingMetrics": ("_lock", ("_counters",)),

@@ -29,11 +29,11 @@ persists, and queries detectors exactly the way library consumers do:
     ``score_nodes``, across an offered-load ladder (throughput, p50/p99
     latency, batch occupancy).
 
-``python -m repro serve <artifact> [--port 8099] [--num-shards 2]``
-    Run the sharded asyncio HTTP/JSON scoring service: partition the
-    artifact's graph into per-shard sessions behind a fan-out router and
-    serve ``POST /score``, ``POST /update``, ``GET /healthz``,
-    ``GET /metrics`` until SIGINT/SIGTERM.
+``python -m repro serve <artifact> [--port 8099]``
+    Run the asyncio HTTP/JSON scoring service: load the artifact into one
+    :class:`repro.serving.DetectionService` and serve ``POST /score``,
+    ``POST /update``, ``GET /healthz``, ``GET /metrics`` and
+    ``GET /traces`` until SIGINT/SIGTERM.
 """
 
 from __future__ import annotations
@@ -196,20 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
                               help="also write the raw result JSON")
 
     cluster_parser = subparsers.add_parser(
-        "serve", help="run the sharded HTTP/JSON scoring service from an artifact"
+        "serve", help="run the HTTP/JSON scoring service from an artifact"
     )
     cluster_parser.add_argument("artifact", help="artifact directory written by 'repro fit'")
     cluster_parser.add_argument("--host", default="127.0.0.1")
     cluster_parser.add_argument("--port", type=int, default=8099,
                                 help="TCP port (0 picks a free one; default: 8099)")
-    cluster_parser.add_argument("--num-shards", type=int, default=2,
-                                help="graph partitions / per-shard sessions (default: 2)")
-    cluster_parser.add_argument("--halo-hops", type=int, default=1,
-                                help="starting halo width; widens per shard until verified")
-    cluster_parser.add_argument("--no-verify", action="store_true",
-                                help="skip the plan-time PPR bit-identity verification")
+    cluster_parser.add_argument("--num-shards", type=int, default=1, choices=[1],
+                                help="serving runs one service: only 1 is accepted")
     cluster_parser.add_argument("--max-batch", type=int, default=64,
-                                help="micro-batch node budget per wave, per shard")
+                                help="micro-batch node budget per wave")
     cluster_parser.add_argument("--max-wait-ms", type=float, default=2.0,
                                 help="max linger before a short wave dispatches")
     cluster_parser.add_argument("--max-inflight", type=int, default=64,
@@ -218,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="delta watermark: force application at N pending")
     cluster_parser.add_argument("--delta-max-age-s", type=float, default=None,
                                 help="delta watermark: force application after S seconds")
-    cluster_parser.add_argument("--seed", type=int, default=0,
-                                help="partitioner seed")
     cluster_parser.add_argument(
         "--trace-sample", type=float, default=None, metavar="RATE",
         help="trace this fraction of requests (0..1; also via REPRO_TRACE_SAMPLE)",
@@ -492,8 +486,8 @@ def _cmd_serve_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    # Lazy import for the same reason as serve-bench: the cluster layer
-    # pulls in the whole detector + serving stack.
+    # Lazy import for the same reason as serve-bench: the front door pulls
+    # in the whole detector + serving stack.
     from repro.obs import Tracer
     from repro.serving.cluster import ShardRouter, run_server
 
@@ -512,27 +506,15 @@ def _cmd_serve(args) -> int:
             capacity=args.trace_buffer or 256,
             dump_path=args.trace_dump,
         )
-    print(
-        f"Planning {args.num_shards} shard(s) from {args.artifact} "
-        f"(halo_hops>={args.halo_hops}, verify={not args.no_verify})..."
-    )
+    print(f"Loading {args.artifact}...")
     router = ShardRouter.from_artifact(
         args.artifact,
-        num_shards=args.num_shards,
-        halo_hops=args.halo_hops,
-        seed=args.seed,
-        verify=not args.no_verify,
         tracer=tracer,  # None falls back to REPRO_TRACE_* (Tracer.from_env)
         max_batch_size=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         adaptive_wait=True,
         delta_max_pending=args.delta_max_pending,
         delta_max_age_s=args.delta_max_age_s,
-    )
-    stats = router.plan.stats()
-    print(
-        f"  shards: owned={stats['owned_sizes']} halo={stats['halo_sizes']} "
-        f"hops={stats['halo_hops']} verified={stats['verified']}"
     )
     run_server(
         router, host=args.host, port=args.port, max_inflight=args.max_inflight

@@ -8,8 +8,8 @@ size, from a single integer seed, bit-identically on regeneration.  That
 makes it simultaneously:
 
 * the third leg of the CI dataset matrix (the seed-determinism leg),
-* the scale input for ``benchmarks/bench_scale.py`` /
-  ``bench_cluster.py`` at node counts the bundled benchmarks can't reach,
+* the scale input for ``benchmarks/bench_scale.py`` at node counts the
+  bundled benchmarks can't reach,
 * a controllable testbed: ``homophily``, ``bot_ratio`` and ``burstiness``
   knobs move the detection difficulty in known directions.
 
@@ -264,7 +264,7 @@ def _build_synthetic(params: dict) -> SyntheticBotnetAdapter:
 def synthetic_graph(**params):
     """Convenience: materialize a synthetic graph in one call.
 
-    Used by ``benchmarks/bench_scale.py`` / ``bench_cluster.py`` to get
-    million-node-capable inputs with ground-truth labels.
+    Used by ``benchmarks/bench_scale.py`` to get million-node-capable
+    inputs with ground-truth labels.
     """
     return SyntheticBotnetAdapter(**params).ingest()

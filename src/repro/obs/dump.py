@@ -64,8 +64,8 @@ def _format_attributes(attributes: Dict[str, Any]) -> str:
 def render_waterfall(trace: Dict[str, Any], width: int = 40) -> str:
     """One trace as an indented waterfall (children under their parents).
 
-    Spans whose parent never got recorded (a fan-out leg that timed out)
-    attach to the root rather than disappearing.
+    Spans whose parent never got recorded (a span still open when the
+    trace finished) attach to the root rather than disappearing.
     """
     spans = list(trace.get("spans", []))
     total = max(float(trace.get("duration_s", 0.0)), 1e-9)

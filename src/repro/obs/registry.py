@@ -2,9 +2,9 @@
 
 A :class:`MetricsRegistry` is a lock-guarded map of named *collectors* —
 callables returning :class:`MetricFamily` objects at scrape time.  The
-pull model keeps hot paths untouched: ``ServingMetrics``/``ShardRouter``
-stay the single source of truth for their counters and histograms, and a
-registered collector merely reads them when ``GET /metrics`` is scraped.
+pull model keeps hot paths untouched: ``ServingMetrics`` stays the single
+source of truth for its counters and histograms, and a registered
+collector merely reads them when ``GET /metrics`` is scraped.
 Owned :class:`Counter`/:class:`Gauge` primitives exist for code with no
 metrics object of its own (the ingest cache, the shared builder pool).
 
@@ -15,8 +15,9 @@ at ``+Inf``.  :func:`validate_exposition` is the strict parser the tests
 and the CI smoke step run over the server's output.
 
 Duplicate samples — two collectors emitting the same ``(name, labels)``
-(e.g. two routers alive in one process) — are merged at scrape time: sums
-for counters and histograms, last-write for gauges.  Stdlib-only.
+(e.g. two services on one graph in one process) — are merged at scrape
+time: sums for counters and histograms, last-write for gauges.
+Stdlib-only.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class MetricsRegistry:
         """All families, merged by name, duplicate samples resolved.
 
         Collectors run *outside* the registry lock — they take their own
-        locks (``ServingMetrics``, router state) and holding ours across
+        locks (``ServingMetrics``, the ingest cache) and holding ours across
         them would build a cross-registry lock order for no benefit.
         """
         with self._lock:

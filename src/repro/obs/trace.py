@@ -15,9 +15,9 @@ stack:
   micro-batcher → dispatcher) and one collated wave serves requests from
   *different* traces, so spans cannot be ambient there.  The ``Trace``
   object rides on the request handle and hops record spans after the fact
-  with explicit start/duration (:meth:`Trace.add_span`); fan-out callers
-  reserve span ids up front (:meth:`Trace.allocate_span`) so child hops can
-  parent to a leg whose duration is only known later.
+  with explicit start/duration (:meth:`Trace.add_span`).  An ambient span
+  reserves its id up front (:meth:`Trace.allocate_span`) so children can
+  parent to it before its duration is known.
 
 Cost discipline: a disabled tracer is ``None`` end to end (one ``is None``
 check per request); an enabled tracer records spans for every started trace
@@ -87,7 +87,7 @@ class Trace:
     # Span recording
     # ------------------------------------------------------------------
     def allocate_span(self) -> int:
-        """Reserve a span id to record later (fan-out legs)."""
+        """Reserve a span id to record later (ambient spans)."""
         with self._lock:
             span_id = self._next_span_id
             self._next_span_id += 1
@@ -194,8 +194,7 @@ class Tracer:
 
     ``sample_rate`` keeps that fraction of traces, decided
     *deterministically* from ``hash(seed, request_id)`` — the same request
-    id is sampled identically across shards and across runs with the same
-    seed.  ``slow_threshold_s`` keeps every trace at least that slow
+    id is sampled identically across runs with the same seed.  ``slow_threshold_s`` keeps every trace at least that slow
     regardless of sampling (and appends it to ``dump_path`` as JSONL when
     configured).  The ring buffer holds the last ``capacity`` kept traces.
     """

@@ -23,18 +23,10 @@ from repro.serving.bench import (
     measure_tracing_overhead,
     run_serving_benchmark,
 )
-from repro.serving.cluster import (
-    ClusterHTTPServer,
-    ClusterRequest,
-    ShardPlan,
-    ShardPlanError,
-    ShardRouter,
-    ShardSpec,
-    plan_shards,
-)
+from repro.serving.cluster import ClusterHTTPServer, ClusterRequest, ShardRouter
 from repro.serving.ingest import DeltaLog, GraphDelta
 from repro.serving.metrics import LatencyHistogram, ServingMetrics
-from repro.serving.service import DetectionService, ServiceClosed
+from repro.serving.service import DetectionService, ServiceClosed, ServiceFailed
 
 __all__ = [
     "BatcherClosed",
@@ -47,13 +39,10 @@ __all__ = [
     "MicroBatcher",
     "ScoreRequest",
     "ServiceClosed",
+    "ServiceFailed",
     "ServingMetrics",
-    "ShardPlan",
-    "ShardPlanError",
     "ShardRouter",
-    "ShardSpec",
     "format_result",
     "measure_tracing_overhead",
-    "plan_shards",
     "run_serving_benchmark",
 ]

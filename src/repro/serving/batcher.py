@@ -56,7 +56,7 @@ class ScoreRequest:
     __slots__ = (
         "nodes", "barrier_seq", "enqueued_at", "started_at", "finished_at",
         "delta_seq", "wave_requests", "wave_nodes", "probabilities", "error",
-        "trace", "trace_parent", "trace_owned", "_done", "_clock",
+        "trace", "trace_owned", "_done", "_clock",
     )
 
     def __init__(
@@ -66,17 +66,14 @@ class ScoreRequest:
         enqueued_at: float,
         clock: Callable[[], float] = time.monotonic,
         trace=None,
-        trace_parent: Optional[int] = None,
         trace_owned: bool = False,
     ) -> None:
         self.nodes = nodes
         #: Optional :class:`repro.obs.Trace` riding along so the dispatcher
         #: can record this request's queue-wait/wave spans after the fact
-        #: (``trace_parent`` is the span id they attach under; a trace the
-        #: service itself started — ``trace_owned`` — is finished by the
-        #: dispatcher when the request resolves).
+        #: (a trace the service itself started — ``trace_owned`` — is
+        #: finished by the dispatcher when the request resolves).
         self.trace = trace
-        self.trace_parent = trace_parent
         self.trace_owned = bool(trace_owned)
         # All three timestamps must come from the same clock (the batcher's,
         # injectable for deterministic tests) or latency_s/queue_wait_s mix
@@ -182,7 +179,6 @@ class MicroBatcher:
         nodes: Sequence[int],
         barrier_seq: int = -1,
         trace=None,
-        trace_parent: Optional[int] = None,
         trace_owned: bool = False,
     ) -> ScoreRequest:
         """Enqueue a score request; returns the caller's wait handle."""
@@ -195,7 +191,6 @@ class MicroBatcher:
             self._clock(),
             clock=self._clock,
             trace=trace,
-            trace_parent=trace_parent,
             trace_owned=trace_owned,
         )
         with self._condition:

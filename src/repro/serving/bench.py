@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import api
 from repro.datasets import load_benchmark
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.sampling import biased
 from repro.serving.service import DetectionService
 
@@ -220,7 +220,7 @@ def measure_tracing_overhead(
             max_wait_ms=0.0,
             release_pool_on_close=False,
             tracer=tracer,
-            register_metrics=False,
+            registry=MetricsRegistry(),
         )
         try:
             for nodes in requests[:8]:  # warm the collation/replay caches

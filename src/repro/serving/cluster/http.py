@@ -1,4 +1,4 @@
-"""Asyncio HTTP/JSON front end for the sharded serving cluster.
+"""Asyncio HTTP/JSON front door over one detection service.
 
 A deliberately small HTTP/1.1 server on stdlib ``asyncio`` streams (no new
 dependencies): parse one request, answer JSON, close the connection.  The
@@ -15,13 +15,12 @@ Endpoints
   node order.
 * ``POST /update`` — body ``{"edges_added": {"followers": [[17], [42]]},
   "features_changed": {"7": [0.1, ...]}}`` → ``{"shards": {"0": 4}}``
-  (per-shard delta sequence numbers: the caller's read-your-writes
-  barrier).
-* ``GET /healthz`` — liveness + per-shard open/closed flags.
+  (the delta's sequence number: the caller's read-your-writes barrier).
+* ``GET /healthz`` — ``200`` while the service is ``ok``; ``503`` once it
+  is closed or failed (a delta application raised), with the error.
 * ``GET /metrics`` — content negotiated: ``Accept: text/plain`` answers
   Prometheus text exposition from the metrics registry; anything else gets
-  the aggregated :meth:`ShardRouter.snapshot` JSON (cluster totals, plan
-  stats, per-shard serving telemetry).
+  the :meth:`ShardRouter.snapshot` JSON (the service's ``cluster_totals``).
 * ``GET /traces`` — the tracer's ring buffer (``?limit=N`` caps the
   count), most recent first, plus tracer stats.
 
@@ -31,19 +30,22 @@ Request tracing
 Every ``/score`` / ``/update`` request gets a request id — minted here, or
 taken from an ``X-Repro-Request-Id`` header when the client sent one — and
 the id is echoed back on the response.  When the router's tracer is armed,
-the front door starts one trace per request (admission span here, route /
-shard-leg / queue-wait / wave spans recorded downstream) and finishes it
-when the response is ready: one trace covers the whole fan-out.
+the front door starts one trace per request (admission span here,
+queue-wait / wave / delta spans recorded downstream) and finishes it when
+the response is ready.
 
-Backpressure
-------------
+Backpressure and malformed input
+--------------------------------
 
 Admission is bounded twice: at most ``max_inflight`` scoring/update
 requests may be in flight (the excess gets an immediate ``429`` with
 ``Retry-After`` instead of a queue slot — saturation costs the client a
 retry, never the server unbounded memory), and request bodies are capped
 at ``max_body_bytes`` (oversized uploads get ``413`` before being read
-into memory).
+into memory).  Every request gets a defined status, never a dropped
+connection: a head and body not received within ``_READ_DEADLINE_S``
+answer ``408``; a malformed head, ``Content-Length`` or body answers
+``400``; any unexpected exception answers ``500``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple, Union
@@ -61,11 +65,14 @@ from repro.obs.trace import ROOT_SPAN_ID, Trace, Tracer, mint_request_id
 from repro.serving.cluster.router import ShardRouter
 
 _MAX_HEADER_BYTES = 16 * 1024
+#: Seconds a client has to deliver its request head and body, together.
+_READ_DEADLINE_S = 10.0
 _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -73,8 +80,16 @@ _HTTP_REASONS = {
 }
 
 
+class _BadRequest(Exception):
+    """A request the front door answers with ``status`` before dispatch."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class ClusterHTTPServer:
-    """One router behind four HTTP/JSON endpoints with bounded admission."""
+    """One router behind five HTTP/JSON endpoints with bounded admission."""
 
     def __init__(
         self,
@@ -94,9 +109,9 @@ class ClusterHTTPServer:
         self.host = host
         self.port = port
         #: Trace/metrics plumbing defaults to the router's own — the front
-        #: door mints request ids and owns per-request traces, the router
-        #: and its shard services fill in the downstream spans.  (getattr:
-        #: HTTP tests drive the server with duck-typed stub routers.)
+        #: door mints request ids and owns per-request traces, the service
+        #: fills in the downstream spans.  (getattr: HTTP tests drive the
+        #: server with duck-typed stub routers.)
         self.tracer = tracer if tracer is not None else getattr(router, "tracer", None)
         if registry is None:
             registry = getattr(router, "registry", None)
@@ -178,7 +193,14 @@ class ClusterHTTPServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            status, payload, extra_headers = await self._handle_request(reader)
+            try:
+                status, payload, extra_headers = await self._handle_request(reader)
+            except (ConnectionError, asyncio.IncompleteReadError):
+                raise
+            except Exception as error:  # noqa: BLE001 — a 500, never a dropped connection
+                logging.getLogger(__name__).exception("unhandled error in a request")
+                status, extra_headers = 500, {}
+                payload = {"error": f"internal error: {type(error).__name__}: {error}"}
             await self._write_response(writer, status, payload, extra_headers)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
@@ -189,17 +211,26 @@ class ClusterHTTPServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_head(
+    async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, str, Dict[str, str]]:
-        head = await reader.readuntil(b"\r\n\r\n")
+    ) -> Tuple[str, str, str, Dict[str, str], bytes]:
+        """Method, path, query, lower-cased headers and body of one request.
+
+        Raises :class:`_BadRequest` for a malformed head or
+        ``Content-Length`` (400) and for a body over the cap (413, before
+        any of it is read).
+        """
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError as error:
+            raise _BadRequest(400, "request head too large") from error
         if len(head) > _MAX_HEADER_BYTES:
-            raise ValueError("request head too large")
+            raise _BadRequest(400, "request head too large")
         lines = head.decode("latin-1").split("\r\n")
         try:
             method, path, _version = lines[0].split(" ", 2)
         except ValueError as error:
-            raise ValueError(f"malformed request line: {lines[0]!r}") from error
+            raise _BadRequest(400, f"malformed request line: {lines[0]!r}") from error
         headers: Dict[str, str] = {}
         for line in lines[1:]:
             if not line:
@@ -207,7 +238,21 @@ class ClusterHTTPServer:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         path, _, query = path.partition("?")
-        return method.upper(), path, query, headers
+        length_text = headers.get("content-length", "0") or "0"
+        try:
+            content_length = int(length_text)
+        except ValueError:
+            content_length = -1
+        if content_length < 0:
+            raise _BadRequest(400, f"invalid Content-Length {length_text!r}")
+        if content_length > self.max_body_bytes:
+            raise _BadRequest(
+                413,
+                f"body of {content_length} bytes exceeds "
+                f"{self.max_body_bytes}-byte cap",
+            )
+        body = await reader.readexactly(content_length) if content_length else b""
+        return method.upper(), path, query, headers, body
 
     @staticmethod
     def _query_int(query: str, name: str) -> Optional[int]:
@@ -225,24 +270,24 @@ class ClusterHTTPServer:
     async def _handle_request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, Union[Dict[str, object], str], Dict[str, str]]:
+        # wait_for, not asyncio.timeout: the latter needs Python 3.11.
         try:
-            method, path, query, headers = await self._read_head(reader)
-        except (ValueError, asyncio.LimitOverrunError) as error:
-            return 400, {"error": str(error)}, {}
-        content_length = int(headers.get("content-length", "0") or "0")
-        if content_length > self.max_body_bytes:
-            return 413, {
-                "error": f"body of {content_length} bytes exceeds "
-                f"{self.max_body_bytes}-byte cap"
+            method, path, query, headers, body = await asyncio.wait_for(
+                self._read_request(reader), _READ_DEADLINE_S
+            )
+        except _BadRequest as error:
+            return error.status, {"error": str(error)}, {}
+        except asyncio.TimeoutError:
+            return 408, {
+                "error": f"request not received within {_READ_DEADLINE_S:g} s"
             }, {}
-        body = await reader.readexactly(content_length) if content_length else b""
 
         if path == "/healthz":
             if method != "GET":
                 return 405, {"error": "use GET /healthz"}, {}
             health = self.router.healthz()
             health["admission"] = self.admission_stats()
-            return 200, health, {}
+            return (200 if health.get("status") == "ok" else 503), health, {}
         if path == "/metrics":
             if method != "GET":
                 return 405, {"error": "use GET /metrics"}, {}
@@ -348,18 +393,26 @@ class ClusterHTTPServer:
         nodes = payload.get("nodes")
         if not isinstance(nodes, list):
             return 400, {"error": "'nodes' must be a list of node ids"}
-        timeout = payload.get("timeout", self.score_timeout_s)
+        raw_timeout = payload.get("timeout", self.score_timeout_s)
+        try:
+            timeout = float(raw_timeout)
+        except (TypeError, ValueError, OverflowError):
+            timeout = math.nan
+        if not (timeout > 0 and math.isfinite(timeout)):
+            return 400, {
+                "error": f"'timeout' must be finite and positive, got {raw_timeout!r}"
+            }
         try:
             if trace is not None:
                 handle = self.router.submit(nodes, trace=trace)
             else:  # positional: HTTP tests drive stub routers without tracing
                 handle = self.router.submit(nodes)
-            probabilities = handle.result(float(timeout))
+            probabilities = handle.result(timeout)
         except (ValueError, TypeError, KeyError) as error:
             return 400, {"error": str(error)}
         except TimeoutError as error:
             return 503, {"error": str(error)}
-        except RuntimeError as error:  # ServiceClosed and friends
+        except RuntimeError as error:  # ServiceClosed, ServiceFailed
             return 503, {"error": str(error)}
         return 200, {
             "nodes": [int(node) for node in nodes],
@@ -407,8 +460,8 @@ def run_server(
 
     Owns the full lifecycle: bind, announce readiness on stdout (the CI
     smoke step waits for this line), serve, and on the first signal stop
-    accepting, drain the router, and close it — a clean exit leaves no
-    dispatcher threads, no pool, and no shared-memory segments.
+    accepting, drain the service, and close it — a clean exit leaves no
+    dispatcher thread, no pool, and no shared-memory segments.
     """
     import signal
 
@@ -427,7 +480,7 @@ def run_server(
         if ready_message:
             print(
                 f"repro serve: listening on http://{server.host}:{server.port} "
-                f"({router.plan.num_shards} shard(s))",
+                "(1 shard(s))",
                 flush=True,
             )
         await stop.wait()

@@ -1,501 +1,126 @@
-"""``ShardRouter``: fan-out/fan-in front of N per-shard detection services.
+"""``ShardRouter``: the HTTP front door's adapter over one detection service.
 
-The router owns one :class:`repro.serving.DetectionService` per shard of a
-:class:`repro.serving.cluster.ShardPlan`.  Scoring splits a request's nodes
-by center ownership, submits each slice to its shard's micro-batcher (all
-slices are in flight concurrently — each shard has its own dispatcher
-thread), and scatters the per-shard rows back into the caller's node order.
-Updates fan out to every shard whose closure the delta touches, sequenced
-through each shard's :class:`repro.serving.DeltaLog`, so read-your-writes
-survives sharding: once :meth:`ShardRouter.submit_update` returns, every
-subsequent score on any shard is served at a log prefix that includes the
-delta on that shard.
-
-Construction from one artifact (:meth:`ShardRouter.from_artifact`) plans
-the shards with the artifact's own PPR parameters, then loads one detector
-copy per shard bound to that shard's local graph — the artifact's saved
-subgraph store warm-starts every shard (stores are keyed by global node
-ids, which shard graphs preserve).
+Serving runs one :class:`repro.serving.DetectionService` per process: each
+BSG4Bot prediction is local to one biased subgraph, and in-process shards
+(which had to score bit-identically to one session) never beat a single
+service on throughput or memory.  The router keeps the front door's
+score/update API over that service: ``delta_seqs`` and the update
+acknowledgement are keyed by shard ``0``, and :meth:`snapshot` reports the
+service's counters as ``cluster_totals``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.sanitizer import tracked_rlock
-from repro.api import load_detector, read_manifest
-from repro.api.session import validate_edge_additions, validate_feature_rows
 from repro.graph import HeteroGraph
-from repro.obs.registry import MetricFamily, MetricsRegistry, global_registry
-from repro.obs.trace import ROOT_SPAN_ID, Trace, Tracer
-from repro.serving.cluster.planner import ShardPlan, plan_shards
-from repro.serving.metrics import aggregate_serving_metrics
-from repro.serving.service import DetectionService, ServiceClosed
+from repro.obs.trace import ROOT_SPAN_ID, Trace
+from repro.serving.batcher import ScoreRequest
+from repro.serving.service import DetectionService
 
 
 class ClusterRequest:
-    """Fan-out handle: one pending score split across shard sub-requests."""
+    """Handle on one pending score request."""
 
-    __slots__ = ("num_nodes", "_parts", "delta_seqs", "trace", "_trace_owned")
+    __slots__ = ("_handle", "delta_seqs")
 
-    def __init__(
-        self,
-        num_nodes: int,
-        parts: List[Tuple[int, np.ndarray, "object", Optional[int], float]],
-        trace: Optional[Trace] = None,
-        trace_owned: bool = False,
-    ) -> None:
-        self.num_nodes = num_nodes
-        #: ``(shard_id, positions, handle, leg_span_id, submitted_at)``
-        #: tuples; ``positions`` are the caller-order row indices the
-        #: shard's rows scatter back into, ``leg_span_id`` the reserved span
-        #: this leg records once its handle resolves.
-        self._parts = parts
-        #: shard id -> delta-log prefix its slice was served at (filled by
+    def __init__(self, handle: ScoreRequest) -> None:
+        self._handle = handle
+        #: Shard id -> delta-log prefix the rows were served at (filled by
         #: :meth:`result`).
         self.delta_seqs: Dict[int, int] = {}
-        #: The request's trace (one trace covers every shard leg); owned
-        #: means :meth:`result` finishes it (the direct ``router.score``
-        #: path — the HTTP front door keeps ownership of its own traces).
-        self.trace = trace
-        self._trace_owned = bool(trace_owned)
 
     def result(self, timeout: Optional[float] = 60.0) -> np.ndarray:
-        """Block for every shard slice; rows come back in caller order."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        output: Optional[np.ndarray] = None
-        for shard_id, positions, handle, leg_span, submitted_at in self._parts:
-            remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-            rows = handle.result(remaining)
-            if output is None:
-                output = np.empty((self.num_nodes, rows.shape[1]), dtype=rows.dtype)
-            output[positions] = rows
-            self.delta_seqs[shard_id] = handle.delta_seq
-            if self.trace is not None and leg_span is not None:
-                self.trace.record_span(
-                    leg_span,
-                    "shard_leg",
-                    submitted_at,
-                    time.monotonic() - submitted_at,
-                    ROOT_SPAN_ID,
-                    {"shard": int(shard_id), "nodes": int(positions.size)},
-                )
-        if output is None:
-            output = np.zeros((0, 2))
-        if self._trace_owned and self.trace is not None:
-            self._trace_owned = False  # finish exactly once
-            tracer = self.trace.tracer
-            if tracer is not None:
-                tracer.finish_trace(self.trace)
-        return output
+        """Block for the rows, in the caller's node order."""
+        rows = self._handle.result(timeout)
+        self.delta_seqs = {0: self._handle.delta_seq}
+        return rows
 
 
 class ShardRouter:
-    """Horizontally sharded scoring: N services behind one score/update API."""
+    """One :class:`DetectionService` behind the front door's score/update API."""
 
-    def __init__(
-        self,
-        plan: ShardPlan,
-        services: Sequence[DetectionService],
-        *,
-        graph: Optional[HeteroGraph] = None,
-        release_pool_on_close: bool = True,
-        tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if len(services) != plan.num_shards:
-            raise ValueError(
-                f"plan has {plan.num_shards} shard(s) but {len(services)} "
-                "service(s) were provided"
-            )
-        self.plan = plan
-        self.services = list(services)
-        #: Validation reference for updates (num_nodes / relation names /
-        #: feature width are shard-invariant).  Falls back to shard 0's
-        #: local graph when the planner's source graph wasn't kept.
-        self.graph = graph if graph is not None else plan.shards[0].graph
-        #: One tracer for the whole cluster: a trace started here (or handed
-        #: in by the HTTP front door) covers every shard leg.
-        self.tracer = tracer if tracer is not None else Tracer.from_env()
-        self._release_pool_on_close = release_pool_on_close
-        self._lock = tracked_rlock("ShardRouter._lock")
-        self._closed = False  # guarded-by: _lock
-        self._requests = 0  # guarded-by: _lock
-        self._updates = 0  # guarded-by: _lock
-        self._started_at = time.monotonic()
-        # The router owns cluster exposition: per-shard families labeled
-        # ``shard=<id>`` plus router-level counters, all behind one
-        # collector — shard services' own collectors are withdrawn so the
-        # same counters never appear twice.
-        self.registry = registry if registry is not None else global_registry()
-        for service in self.services:
-            # Duck-typed: router tests stub out services without exposition.
-            withdraw = getattr(service, "unregister_metrics", None)
-            if withdraw is not None:
-                withdraw()
-        self._registry_key: Optional[str] = f"cluster:{id(self):x}"
-        self.registry.register(self._registry_key, self._collect_metric_families)
+    def __init__(self, service: DetectionService) -> None:
+        self.service = service
+        #: The front door starts per-request traces with the service's tracer
+        #: and renders the registry the service's metrics live in.
+        self.tracer = service.tracer
+        self.registry = service.registry
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def from_artifact(
-        cls,
-        path,
-        graph: Optional[HeteroGraph] = None,
-        *,
-        num_shards: int = 2,
-        halo_hops: int = 1,
-        seed: int = 0,
-        verify: bool = True,
-        release_pool_on_close: bool = True,
-        tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
-        **service_kwargs,
+        cls, path, graph: Optional[HeteroGraph] = None, **service_kwargs
     ) -> "ShardRouter":
-        """Plan shards for ``graph`` and load one service per shard.
-
-        Without ``graph``, the artifact's dataset provenance is replayed —
-        the same convention as :meth:`DetectionService.from_artifact`.  The
-        shard plan verifies PPR locality with the artifact's own
-        ``ppr_alpha`` / ``ppr_epsilon``, so the halo contract matches what
-        the loaded detectors will actually push.  ``service_kwargs`` pass
-        through to every per-shard :class:`DetectionService` (batching,
-        replay, recording).
-        """
-        manifest = read_manifest(path)
-        if graph is None:
-            dataset = manifest.get("dataset")
-            if not dataset:
-                raise ValueError(
-                    "artifact has no dataset provenance; pass the serving "
-                    "graph explicitly: ShardRouter.from_artifact(path, graph=...)"
-                )
-            from repro.datasets import resolve_dataset_graph
-
-            graph = resolve_dataset_graph(dataset)
-        config = manifest.get("config", {})
-        plan = plan_shards(
-            graph,
-            num_shards,
-            halo_hops=halo_hops,
-            ppr_alpha=float(config.get("ppr_alpha", 0.15)),
-            ppr_epsilon=float(config.get("ppr_epsilon", 1e-4)),
-            seed=seed,
-            verify=verify,
-        )
-        services: List[DetectionService] = []
-        try:
-            for spec in plan.shards:
-                detector = load_detector(path, graph=spec.graph)
-                services.append(
-                    DetectionService(
-                        detector,
-                        spec.graph,
-                        release_pool_on_close=False,
-                        register_metrics=False,
-                        **service_kwargs,
-                    )
-                )
-        except BaseException:
-            for service in services:
-                service.close(drain=False)
-            raise
-        return cls(
-            plan,
-            services,
-            graph=graph,
-            release_pool_on_close=release_pool_on_close,
-            tracer=tracer,
-            registry=registry,
-        )
+        """Load the artifact into one service (see
+        :meth:`DetectionService.from_artifact`; ``service_kwargs`` pass
+        through: batching, replay, tracer, registry, pool release)."""
+        return cls(DetectionService.from_artifact(path, graph=graph, **service_kwargs))
 
     # ------------------------------------------------------------------
-    # Scoring
+    # Scoring and updates
     # ------------------------------------------------------------------
     def submit(
         self, nodes: Sequence[int], trace: Optional[Trace] = None
     ) -> ClusterRequest:
-        """Fan a score request out by center ownership; returns the handle.
+        """Enqueue a score request on the service; returns the handle.
 
-        Each shard slice preserves the caller's relative node order, so a
-        single-shard request coalesces into its shard's waves exactly like
-        a direct :meth:`DetectionService.submit` would.
-
-        A caller-owned ``trace`` (the HTTP front door's) rides through the
-        fan-out: each shard leg gets a reserved span the handle records at
-        fan-in, and the per-shard queue/wave spans parent to it — one trace
-        covers every leg.  Without one, an armed ``self.tracer`` starts a
-        router-owned trace that :meth:`ClusterRequest.result` finishes.
+        A caller-owned ``trace`` (the HTTP front door's) receives the
+        service's queue-wait and wave spans.
         """
-        array = np.asarray(
-            nodes if isinstance(nodes, np.ndarray) else list(nodes)
-        ).astype(np.int64).ravel()
-        if array.size and (array.min() < 0 or array.max() >= self.graph.num_nodes):
-            raise ValueError("node id out of range for the cluster graph")
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("cluster router is closed")
-            self._requests += 1
-        trace_owned = False
-        if trace is None and self.tracer is not None:
-            trace = self.tracer.start_trace(
-                "score", attributes={"num_nodes": int(array.size)}
-            )
-            trace_owned = trace is not None
-        parts: List[Tuple[int, np.ndarray, object, Optional[int], float]] = []
-        if array.size:
-            route_started = time.monotonic()
-            owners = self.plan.shard_of(array)
-            unique_shards = np.unique(owners)
-            for shard_id in unique_shards:
-                positions = np.flatnonzero(owners == shard_id)
-                submitted_at = time.monotonic()
-                if trace is not None:
-                    leg_span = trace.allocate_span()
-                    handle = self.services[int(shard_id)].submit(
-                        array[positions], trace=trace, trace_parent=leg_span
-                    )
-                else:
-                    # Positional call keeps duck-typed (stub) services working.
-                    leg_span = None
-                    handle = self.services[int(shard_id)].submit(array[positions])
-                parts.append(
-                    (int(shard_id), positions, handle, leg_span, submitted_at)
-                )
-            if trace is not None:
-                trace.add_span(
-                    "route",
-                    route_started,
-                    time.monotonic() - route_started,
-                    parent_id=ROOT_SPAN_ID,
-                    shards=int(unique_shards.size),
-                )
-        return ClusterRequest(
-            int(array.size), parts, trace=trace, trace_owned=trace_owned
-        )
+        return ClusterRequest(self.service.submit(nodes, trace=trace))
 
     def score(
         self, nodes: Sequence[int], timeout: Optional[float] = 60.0
     ) -> np.ndarray:
-        """Bot probabilities for ``nodes`` (blocking fan-out/fan-in)."""
+        """Bot probabilities for ``nodes`` (blocking)."""
         return self.submit(nodes).result(timeout)
 
-    # ------------------------------------------------------------------
-    # Streaming updates
-    # ------------------------------------------------------------------
     def submit_update(
         self,
         edges_added: Optional[Mapping[str, Tuple[Iterable[int], Iterable[int]]]] = None,
         features_changed: Optional[Mapping[int, Iterable[float]]] = None,
         trace: Optional[Trace] = None,
     ) -> Dict[int, int]:
-        """Route a delta to every shard it touches; returns shard -> seq.
+        """Validate and sequence a delta on the service; returns ``{0: seq}``.
 
-        Edge additions go to each shard whose closure contains either
-        endpoint — exactly the shards whose local graphs keep that edge
-        under the closure-incidence invariant.  Feature rows go to *every*
-        shard (each shard owns a full feature copy; rows must stay
-        consistent everywhere a future subgraph might read them).  Each
-        touched shard sequences the delta through its own
-        :class:`repro.serving.DeltaLog`, so scores submitted after this
-        call returns see it on whichever shard serves them.
-
-        A caller-owned ``trace`` (the HTTP front door's) gets
-        ``delta_validate`` and per-shard ``delta_route`` spans; ownership
-        stays with the caller (updates resolve synchronously, so no handle
-        needs to finish anything).
+        Scores submitted after this returns are served at a log prefix that
+        includes the delta.  A caller-owned ``trace`` gets a
+        ``delta_append`` span.
         """
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("cluster router is closed")
-            self._updates += 1
-        # One global validation pass: a bad delta fails here with nothing
-        # enqueued on any shard (no partially-applied fan-out).
-        validate_started = time.monotonic()
-        validated_edges = {
-            relation: (src, dst)
-            for relation, src, dst in validate_edge_additions(self.graph, edges_added)
-            if src.size
-        }
-        validated_features = validate_feature_rows(self.graph, features_changed)
+        started = time.monotonic()
+        seq = self.service.submit_update(
+            edges_added=edges_added, features_changed=features_changed
+        )
         if trace is not None:
             trace.add_span(
-                "delta_validate",
-                validate_started,
-                time.monotonic() - validate_started,
+                "delta_append",
+                started,
+                time.monotonic() - started,
                 parent_id=ROOT_SPAN_ID,
-                relations=len(validated_edges),
-                feature_rows=len(validated_features),
+                seq=seq,
             )
-        sequences: Dict[int, int] = {}
-        for spec, service in zip(self.plan.shards, self.services):
-            shard_edges: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-            for relation, (src, dst) in validated_edges.items():
-                keep = spec.closure_mask[src] | spec.closure_mask[dst]
-                if keep.any():
-                    shard_edges[relation] = (src[keep], dst[keep])
-            if not shard_edges and not validated_features:
-                continue
-            route_started = time.monotonic()
-            sequences[spec.shard_id] = service.submit_update(
-                edges_added=shard_edges or None,
-                features_changed=validated_features or None,
-            )
-            if trace is not None:
-                trace.add_span(
-                    "delta_route",
-                    route_started,
-                    time.monotonic() - route_started,
-                    parent_id=ROOT_SPAN_ID,
-                    shard=spec.shard_id,
-                    seq=sequences[spec.shard_id],
-                )
-        return sequences
+        return {0: seq}
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle and telemetry
     # ------------------------------------------------------------------
-    def drain(self, timeout: Optional[float] = 60.0) -> None:
-        """Block until every shard served its backlog and applied its deltas."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for service in self.services:
-            remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-            service.drain(remaining)
-
     def close(self, drain: bool = True, timeout: Optional[float] = 60.0) -> None:
-        """Close every shard service, then release the shared pool once.
-
-        Idempotent.  Shard services are constructed with
-        ``release_pool_on_close=False`` — the construction pool and its
-        shared-memory segments are process-global, so the router (the last
-        owner standing) shuts them down exactly once at the end.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            registry_key, self._registry_key = self._registry_key, None
-        if registry_key is not None:
-            self.registry.unregister(registry_key)
-        try:
-            for service in self.services:
-                service.close(drain=drain, timeout=timeout)
-        finally:
-            if self._release_pool_on_close:
-                from repro.sampling.biased import shutdown_shared_pool
-
-                shutdown_shared_pool()
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
+        """Close the service (idempotent)."""
+        self.service.close(drain=drain, timeout=timeout)
 
     def __enter__(self) -> "ShardRouter":
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("cluster router is closed")
+        self.service.__enter__()  # raises ServiceClosed once closed
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
     def healthz(self) -> Dict[str, object]:
-        """Cheap liveness summary for the HTTP front end."""
-        with self._lock:
-            closed = self._closed
-        return {
-            "status": "closed" if closed else "ok",
-            "num_shards": self.plan.num_shards,
-            "uptime_s": time.monotonic() - self._started_at,
-            "shards": [
-                {"shard_id": spec.shard_id, "closed": service.closed}
-                for spec, service in zip(self.plan.shards, self.services)
-            ],
-        }
+        return self.service.health()
 
     def snapshot(self) -> Dict[str, object]:
-        """Aggregated serving telemetry: cluster totals + per-shard detail.
-
-        Totals come from :func:`repro.serving.metrics.aggregate_serving_metrics`
-        — the one place cluster aggregation lives — so latency percentiles
-        are merged at the histogram-bucket level (a true cluster p99), not
-        the max of per-shard p99s.
-        """
-        shard_snapshots = [service.snapshot() for service in self.services]
-        totals = aggregate_serving_metrics(
-            [
-                service.metrics
-                for service in self.services
-                if getattr(service, "metrics", None) is not None
-            ]
-        )
-        with self._lock:
-            router_counters = {
-                "requests": self._requests,
-                "updates": self._updates,
-                "closed": self._closed,
-            }
-        return {
-            "router": {**router_counters, "uptime_s": time.monotonic() - self._started_at},
-            "cluster_totals": totals,
-            "plan": self.plan.stats(),
-            "shards": shard_snapshots,
-        }
-
-    def _collect_metric_families(self) -> List[MetricFamily]:
-        """Cluster exposition: per-shard serving families + router counters.
-
-        Runs at scrape time (registry collectors execute outside the
-        registry lock).  Each shard's families carry a ``shard=<id>`` label;
-        duplicate family *definitions* across shards merge by name in the
-        registry, and the label keeps their samples distinct.
-        """
-        families: List[MetricFamily] = []
-        for spec, service in zip(self.plan.shards, self.services):
-            metrics = getattr(service, "metrics", None)
-            if metrics is None:  # stubbed service in router unit tests
-                continue
-            families.extend(
-                metrics.metric_families({"shard": str(spec.shard_id)})
-            )
-        with self._lock:
-            requests, updates = self._requests, self._updates
-        families.append(
-            MetricFamily(
-                "repro_cluster_requests_total",
-                "counter",
-                "Score requests accepted by the cluster router.",
-                [({}, float(requests))],
-            )
-        )
-        families.append(
-            MetricFamily(
-                "repro_cluster_updates_total",
-                "counter",
-                "Streaming updates accepted by the cluster router.",
-                [({}, float(updates))],
-            )
-        )
-        families.append(
-            MetricFamily(
-                "repro_cluster_shards",
-                "gauge",
-                "Number of shards behind the cluster router.",
-                [({}, float(self.plan.num_shards))],
-            )
-        )
-        return families
-
-    def __repr__(self) -> str:
-        with self._lock:
-            state = "closed" if self._closed else "open"
-        return f"ShardRouter(num_shards={self.plan.num_shards}, {state})"
+        """The service's telemetry as ``cluster_totals``."""
+        return {"cluster_totals": self.service.snapshot()}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from repro.analysis.sanitizer import tracked_rlock
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,9 +84,8 @@ class LatencyHistogram:
     def buckets(self) -> List[Tuple[float, int]]:
         """Cumulative ``(upper_bound, count)`` pairs, ending at ``+Inf``.
 
-        The accessor the Prometheus exporter and the cross-shard
-        aggregation use instead of reaching into ``_counts``; the final
-        pair's count is the total observation count.
+        The accessor the Prometheus exporter uses instead of reaching into
+        ``_counts``; the final pair's count is the total observation count.
         """
         with self._lock:
             counts = self._counts.copy()
@@ -155,7 +154,8 @@ class ServingMetrics:
     ``deltas_applied``      graph deltas applied through ``update_graph``,
     ``subgraphs_invalidated`` stored subgraphs dropped by applied deltas,
     ``errors``              waves that raised (the error is re-raised to
-                            every caller of the wave),
+                            every caller of the wave) and the delta
+                            application that failed the service,
     ``replay_hits``         wave model forwards served by a compiled replay
                             schedule (``repro.tensor.replay``),
     ``replay_misses``       wave model forwards that ran eagerly and traced
@@ -223,9 +223,9 @@ class ServingMetrics:
 
         Counter names follow the ``repro_serving_<name>_total`` convention;
         histograms expose the shared geometric buckets as
-        ``repro_serving_<name>_seconds``.  ``labels`` (e.g. ``{"shard":
-        "0"}``) are stamped on every sample so one registry can expose many
-        services side by side.
+        ``repro_serving_<name>_seconds``.  ``labels`` (e.g. ``{"service":
+        "mgtab"}``) are stamped on every sample so one registry can expose
+        many services side by side.
         """
         labels = dict(labels or {})
         families = [
@@ -269,87 +269,3 @@ _HISTOGRAM_HELP: Dict[str, str] = {
     "model_time": "Model forward time per wave (seconds).",
 }
 
-
-def percentile_from_buckets(
-    buckets: Sequence[Tuple[float, int]],
-    quantile: float,
-    maximum: Optional[float] = None,
-) -> float:
-    """Percentile estimate from cumulative buckets (``buckets()`` shape).
-
-    Mirrors :meth:`LatencyHistogram.percentile` exactly — the first bucket
-    whose cumulative count reaches the rank, capped by the true observed
-    ``maximum`` when known — so aggregating one histogram's buckets returns
-    the same estimate the histogram itself would.
-    """
-    if not 0.0 <= quantile <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
-    if not buckets:
-        return 0.0
-    total = buckets[-1][1]
-    if total == 0:
-        return 0.0
-    rank = quantile * total
-    for bound, cumulative in buckets:
-        if cumulative >= rank:
-            if math.isinf(bound):
-                break
-            return float(bound if maximum is None else min(bound, maximum))
-    if maximum is not None:
-        return float(maximum)
-    return float(buckets[-2][0]) if len(buckets) > 1 else 0.0
-
-
-def aggregate_latency(histograms: Sequence[LatencyHistogram]) -> Dict[str, float]:
-    """Merge histograms into one snapshot-shaped summary (cluster view).
-
-    Percentiles come from *bucket-merged* counts — summing the per-shard
-    cumulative buckets and ranking over the merged distribution — which is
-    the statistically meaningful cluster percentile (``max`` of per-shard
-    p99s overstates whenever load is uneven, ``mean`` understates).
-    """
-    from repro.obs.registry import merge_buckets
-
-    nonempty = [histogram for histogram in histograms if histogram.count]
-    if not nonempty:
-        return {"count": 0, "mean_s": 0.0, "min_s": 0.0, "max_s": 0.0,
-                "p50_s": 0.0, "p90_s": 0.0, "p99_s": 0.0}
-    merged = merge_buckets([histogram.buckets() for histogram in nonempty])
-    total = merged[-1][1]
-    observed_sum = sum(histogram.sum_s for histogram in nonempty)
-    maximum = max(histogram.max_s for histogram in nonempty)
-    return {
-        "count": total,
-        "mean_s": observed_sum / total,
-        "min_s": min(histogram.min_s for histogram in nonempty),
-        "max_s": maximum,
-        "p50_s": percentile_from_buckets(merged, 0.50, maximum),
-        "p90_s": percentile_from_buckets(merged, 0.90, maximum),
-        "p99_s": percentile_from_buckets(merged, 0.99, maximum),
-    }
-
-
-def aggregate_serving_metrics(
-    metrics: Sequence[ServingMetrics],
-) -> Dict[str, object]:
-    """Cluster totals over per-shard bundles, computed in one place.
-
-    The single aggregation path behind :meth:`ShardRouter.snapshot` and
-    the registry's cluster collector: counters sum, derived rates recompute
-    from the summed counters, and latency histograms merge bucket-wise
-    (see :func:`aggregate_latency`).
-    """
-    totals: Dict[str, object] = {name: 0 for name in _COUNTER_HELP}
-    for bundle in metrics:
-        for name, value in bundle.counters().items():
-            totals[name] = int(totals.get(name, 0)) + int(value)
-    waves = int(totals.get("waves", 0))
-    totals["batch_occupancy"] = (
-        int(totals.get("wave_nodes", 0)) / waves if waves else 0.0
-    )
-    totals["requests_per_wave"] = (
-        int(totals.get("requests", 0)) / waves if waves else 0.0
-    )
-    for name in _HISTOGRAM_HELP:
-        totals[name] = aggregate_latency([getattr(bundle, name) for bundle in metrics])
-    return totals

@@ -49,7 +49,7 @@ import numpy as np
 from repro.api import DetectionSession, load_detector, read_manifest
 from repro.core.base import BotDetector
 from repro.graph import HeteroGraph
-from repro.obs.registry import global_registry
+from repro.obs.registry import MetricsRegistry, global_registry
 from repro.obs.trace import ROOT_SPAN_ID, Trace, Tracer
 from repro.serving.batcher import MicroBatcher, ScoreRequest
 from repro.serving.ingest import DeltaLog
@@ -58,6 +58,14 @@ from repro.serving.metrics import ServingMetrics
 
 class ServiceClosed(RuntimeError):
     """Raised when submitting work to a closed :class:`DetectionService`."""
+
+
+class ServiceFailed(RuntimeError):
+    """Raised by a :class:`DetectionService` whose delta application failed.
+
+    A failed service scores and applies nothing more: its graph no longer
+    matches the delta log, so every later answer would be stale.
+    """
 
 
 class DetectionService:
@@ -90,7 +98,7 @@ class DetectionService:
         autostart: bool = True,
         use_replay: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
-        register_metrics: bool = True,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         # ``use_replay`` passes through to the session's capture-and-replay
         # inference engine (None = the REPRO_REPLAY environment default).
@@ -98,7 +106,7 @@ class DetectionService:
         # application watermark (None/None = apply eagerly when idle);
         # ``adaptive_wait`` arms the batcher's per-wave linger adaptation.
         # ``tracer`` arms request tracing (None consults REPRO_TRACE_*);
-        # ``register_metrics=False`` leaves exposition to an owning router.
+        # ``registry`` receives this service's metrics (None: the global one).
         self.session = DetectionSession(detector, graph, use_replay=use_replay)
         self.tracer = tracer if tracer is not None else Tracer.from_env()
         self.detector = detector
@@ -125,20 +133,19 @@ class DetectionService:
         # popped from the batcher queue but not yet marked in-flight.
         self._accepted = 0  # guarded-by: _idle
         self._served = 0  # guarded-by: _idle
-        # An exception raised while applying deltas from the idle loop
-        # (should be impossible — deltas are validated at append — but a
-        # swallowed failure must not silently serve stale subgraphs).
+        # The exception a delta application raised (should be impossible —
+        # deltas are validated at append).  Once set the service is failed:
+        # it scores and applies nothing more (see ServiceFailed).
         self._delta_error: Optional[BaseException] = None
         self._started_at = time.monotonic()
-        # Pull-model exposition: the global registry reads this service's
-        # metrics at scrape time; nothing extra happens on the hot path.
-        self._registry_key: Optional[str] = None
-        if register_metrics:
-            self._registry_key = f"service:{graph.name}:{id(self):x}"
-            global_registry().register(
-                self._registry_key,
-                lambda: self.metrics.metric_families({"service": graph.name}),
-            )
+        # Pull-model exposition: the registry reads this service's metrics
+        # at scrape time; nothing extra happens on the hot path.
+        self.registry = registry if registry is not None else global_registry()
+        self._registry_key = f"service:{graph.name}:{id(self):x}"
+        self.registry.register(
+            self._registry_key,
+            lambda: self.metrics.metric_families({"service": graph.name}),
+        )
         self._thread = threading.Thread(
             target=self._dispatch_loop,
             name=f"repro-serving-{graph.name}",
@@ -215,10 +222,7 @@ class DetectionService:
     # Scoring
     # ------------------------------------------------------------------
     def submit(
-        self,
-        nodes: Sequence[int],
-        trace: Optional[Trace] = None,
-        trace_parent: Optional[int] = None,
+        self, nodes: Sequence[int], trace: Optional[Trace] = None
     ) -> ScoreRequest:
         """Enqueue a score request; returns a handle to block on.
 
@@ -227,10 +231,10 @@ class DetectionService:
         delta-log prefix the response was served at (read-your-writes: it is
         at least the log tail observed here at submit time).
 
-        ``trace``/``trace_parent`` attach this request to a caller-owned
-        trace (the router's fan-out path); without one, an armed
-        ``self.tracer`` starts a service-scoped trace that the dispatcher
-        finishes when the request resolves.
+        ``trace`` attaches this request to a caller-owned trace (the HTTP
+        front door's); without one, an armed ``self.tracer`` starts a
+        service-scoped trace that the dispatcher finishes when the request
+        resolves.
 
         Node ids are validated here, at submit time — like the delta log,
         the bad producer fails immediately instead of poisoning the innocent
@@ -238,6 +242,7 @@ class DetectionService:
         """
         if self._closed:
             raise ServiceClosed("service is closed")
+        self._raise_if_failed()
         nodes = np.asarray(
             nodes if isinstance(nodes, np.ndarray) else list(nodes)
         ).astype(np.int64).ravel()
@@ -259,7 +264,6 @@ class DetectionService:
                 nodes,
                 barrier_seq=self.delta_log.tail_seq,
                 trace=trace,
-                trace_parent=trace_parent,
                 trace_owned=trace_owned,
             )
         except BaseException:
@@ -295,6 +299,7 @@ class DetectionService:
         """
         if self._closed:
             raise ServiceClosed("service is closed")
+        self._raise_if_failed()
         seq = self.delta_log.append(
             edges_added=edges_added, features_changed=features_changed
         )
@@ -311,20 +316,33 @@ class DetectionService:
         ``score_nodes`` call.  Other threads call it only when the
         dispatcher is not running (``drain``/``close`` on a stopped or
         never-started service).
+
+        A failed application marks the service failed and counts one
+        error; it never raises.  The drained delta is not marked applied,
+        and a failed service applies nothing more, so ``applied_seq``
+        never claims a delta that did not land.
         """
         # In-flight marker first, pop second: a drain() observer holding the
         # idle lock then either sees the delta still pending or sees this
         # application in flight — never the popped-but-unapplied gap.
         with self._idle:
+            if self._delta_error is not None:
+                return 0
             self._in_flight += 1
         try:
             delta = self.delta_log.drain()
             if delta is None:
                 return 0
-            invalidated = self.session.apply_delta(
-                edges_added=delta.edges_added or None,
-                features_changed=delta.features_changed or None,
-            )
+            try:
+                invalidated = self.session.apply_delta(
+                    edges_added=delta.edges_added or None,
+                    features_changed=delta.features_changed or None,
+                )
+            except Exception as error:  # noqa: BLE001 — fails the service
+                self.metrics.increment("errors")
+                with self._idle:
+                    self._delta_error = error
+                return 0
             self.delta_log.mark_applied(delta.seq)
             self.metrics.increment("deltas_applied", delta.coalesced)
             self.metrics.increment("subgraphs_invalidated", invalidated)
@@ -351,11 +369,7 @@ class DetectionService:
                 # pre-wave application and drain()'s expedite still force
                 # the full prefix.
                 if self.delta_log.watermark_due:
-                    try:
-                        self._apply_pending_deltas()
-                    except BaseException as error:  # noqa: BLE001 — stashed
-                        self.metrics.increment("errors")
-                        self._delta_error = error
+                    self._apply_pending_deltas()
                 with self._idle:
                     self._idle.notify_all()
                 continue
@@ -376,14 +390,13 @@ class DetectionService:
         deltas_applied = 0
         build_s = 0.0
         try:
-            if self._delta_error is not None:
-                raise self._delta_error
             # Apply every delta enqueued so far — a superset of every
             # request's barrier prefix, so read-your-writes holds for the
             # whole wave.  Only this thread applies deltas while the
             # dispatcher runs, so ``applied_seq`` is exactly the prefix the
             # wave is scored at.
             deltas_applied = self._apply_pending_deltas()
+            self._raise_if_failed()
             delta_s = time.monotonic() - wave_started
             applied_seq = self.delta_log.applied_seq
             nodes = (
@@ -397,7 +410,8 @@ class DetectionService:
             if traced:
                 build_s = max(self._build_seconds() - build_before, 0.0)
         except BaseException as error:  # noqa: BLE001 — forwarded to callers
-            self.metrics.increment("errors")
+            if not isinstance(error, ServiceFailed):  # counted when it failed
+                self.metrics.increment("errors")
             for request in wave:
                 request._reject(error)
                 self._finish_request_trace(request)
@@ -467,21 +481,18 @@ class DetectionService:
         accounting; collate is what's left of the wave after both.
         """
         trace = request.trace
-        parent = (
-            request.trace_parent if request.trace_parent is not None else ROOT_SPAN_ID
-        )
         if request.started_at is not None:
             trace.add_span(
                 "queue_wait",
                 request.enqueued_at,
                 max(request.started_at - request.enqueued_at, 0.0),
-                parent_id=parent,
+                parent_id=ROOT_SPAN_ID,
             )
         wave_span = trace.add_span(
             "wave",
             wave_started,
             max(scored_at - wave_started, 0.0),
-            parent_id=parent,
+            parent_id=ROOT_SPAN_ID,
             wave_requests=wave_requests,
             wave_nodes=wave_nodes,
         )
@@ -525,15 +536,10 @@ class DetectionService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def unregister_metrics(self) -> None:
-        """Withdraw this service's collector from the global registry.
-
-        Idempotent; a :class:`ShardRouter` calls this on its shard services
-        and exposes them itself with per-shard labels instead.
-        """
-        if self._registry_key is not None:
-            global_registry().unregister(self._registry_key)
-            self._registry_key = None
+    def _raise_if_failed(self) -> None:
+        error = self._delta_error
+        if error is not None:
+            raise ServiceFailed(f"delta application failed: {error!r}") from error
 
     def drain(self, timeout: Optional[float] = 60.0) -> None:
         """Block until every accepted request and delta has been served.
@@ -542,8 +548,7 @@ class DetectionService:
         (by the dispatcher's idle loop — or directly here when the
         dispatcher is not running, where no wave can race the application).
         Raises :class:`TimeoutError` when the backlog outlives ``timeout``,
-        and re-raises a delta-application failure recorded by the
-        dispatcher.
+        and :class:`ServiceFailed` once a delta application failed.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         # A watermarked log must not make drain wait out max_age_s: force
@@ -553,8 +558,7 @@ class DetectionService:
             self._apply_pending_deltas()
         with self._idle:
             while True:
-                if self._delta_error is not None:
-                    raise self._delta_error
+                self._raise_if_failed()
                 if (
                     self.batcher.pending == 0
                     and self._in_flight == 0
@@ -584,7 +588,7 @@ class DetectionService:
             if self._closed:
                 return
             self._closed = True
-        self.unregister_metrics()
+        self.registry.unregister(self._registry_key)
         # A never-started dispatcher can't serve the backlog: reject it so
         # no caller blocks forever on a handle nothing will resolve.
         dispatcher_alive = self._thread.is_alive()
@@ -622,6 +626,8 @@ class DetectionService:
                     self._apply_pending_deltas()
             finally:
                 self.session.close(release_pool=self._release_pool_on_close)
+        if drain:
+            self._raise_if_failed()
 
     @property
     def closed(self) -> bool:
@@ -638,6 +644,18 @@ class DetectionService:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
+    def health(self) -> Dict[str, object]:
+        """Liveness: ``ok``, ``closed``, or ``failed`` with its error."""
+        health: Dict[str, object] = {
+            "status": "closed" if self._closed else "ok",
+            "uptime_s": time.monotonic() - self._started_at,
+        }
+        try:
+            self._raise_if_failed()
+        except ServiceFailed as failure:
+            health.update(status="failed", error=str(failure))
+        return health
+
     def snapshot(self) -> Dict[str, object]:
         """Serving telemetry as one JSON-serializable dict.
 

@@ -54,6 +54,13 @@ class TestVersionAndListing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fit", "mgtab", "--output", "x", "--override", "nokey"])
 
+    def test_serve_accepts_one_shard_and_rejects_more(self, capsys):
+        args = build_parser().parse_args(["serve", "artifact", "--num-shards", "1"])
+        assert args.num_shards == 1
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "artifact", "--num-shards", "2"])
+        assert "--num-shards: invalid choice: 2" in capsys.readouterr().err
+
 
 class TestRunOutput:
     def test_run_writes_report_compatible_json(self, tmp_path, capsys, monkeypatch):

@@ -1,12 +1,15 @@
-"""Cluster serving tests: shard planning, fan-out/fan-in bit-identity,
-delta routing with read-your-writes across shards, clean shutdown, and the
-asyncio HTTP front end (admission backpressure included)."""
+"""Front-door serving tests: the router over one detection service (waves
+bit-identical to a serial session, read-your-writes, clean shutdown) and the
+asyncio HTTP front end (admission backpressure, malformed input, the read
+deadline, and the failed-service status)."""
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -15,16 +18,10 @@ import pytest
 
 from repro import api
 from repro.core import BSG4Bot, BSG4BotConfig
-from repro.graph import HeteroGraph
 from repro.sampling import biased
-from repro.serving import DetectionService
-from repro.serving.cluster import (
-    ClusterHTTPServer,
-    ShardPlan,
-    ShardRouter,
-    ShardSpec,
-    plan_shards,
-)
+from repro.serving import DetectionService, ServiceFailed
+from repro.serving.cluster import ClusterHTTPServer, ShardRouter
+from repro.serving.cluster import http as front_door
 from tests.conftest import make_separable_graph
 
 GRAPH_SEED = 33
@@ -48,104 +45,26 @@ def artifact(tmp_path_factory):
     return api.save_detector(detector, tmp_path_factory.mktemp("cluster") / "artifact")
 
 
-def _router(artifact, num_shards=2, **kwargs):
+def _router(artifact, **kwargs):
     kwargs.setdefault("release_pool_on_close", False)
-    return ShardRouter.from_artifact(
-        artifact, graph=_make_graph(), num_shards=num_shards, seed=0, **kwargs
-    )
+    return ShardRouter.from_artifact(artifact, graph=_make_graph(), **kwargs)
 
 
 def _oracle_session(artifact):
-    """A single full-graph session — the bit-identity reference."""
+    """A plain session on a fresh graph — the bit-identity reference."""
     graph = _make_graph()
     detector = api.load_detector(artifact, graph=graph)
     return api.DetectionSession(detector, graph), graph
 
 
 # ----------------------------------------------------------------------
-# Shard planning
-# ----------------------------------------------------------------------
-class TestShardPlan:
-    def test_partition_covers_all_nodes_exactly_once(self, artifact):
-        plan = plan_shards(_make_graph(), 3, seed=0, verify=False)
-        owned = np.concatenate([spec.owned for spec in plan.shards])
-        assert np.array_equal(np.sort(owned), np.arange(GRAPH_NODES))
-        for spec in plan.shards:
-            assert np.array_equal(plan.ownership[spec.owned], np.full(spec.owned.size, spec.shard_id))
-            # Closure contains the owned set and the mask matches the array.
-            assert np.isin(spec.owned, spec.closure).all()
-            assert np.array_equal(np.flatnonzero(spec.closure_mask), spec.closure)
-
-    def test_local_graphs_keep_full_node_space_and_closure_edges(self, artifact):
-        graph = _make_graph()
-        plan = plan_shards(graph, 2, seed=0, verify=False)
-        for spec in plan.shards:
-            local = spec.graph
-            assert local.num_nodes == graph.num_nodes
-            assert local.relation_names == graph.relation_names
-            np.testing.assert_array_equal(local.features, graph.features)
-            for name in graph.relation_names:
-                full_rel, local_rel = graph.relation(name), local.relation(name)
-                # Exactly the closure-incident edge subset survives.
-                keep = spec.closure_mask[full_rel.src] | spec.closure_mask[full_rel.dst]
-                np.testing.assert_array_equal(local_rel.src, full_rel.src[keep])
-                np.testing.assert_array_equal(local_rel.dst, full_rel.dst[keep])
-
-    def test_verified_plan_passes_reverification(self):
-        graph = _make_graph()
-        plan = plan_shards(graph, 2, seed=0, verify=True)
-        assert plan.verified
-        plan.verify(graph)  # must not raise
-
-    def test_single_shard_plan_degenerates_to_full_graph(self, monkeypatch):
-        """A closure covering the whole graph is verified by comparing edge
-        lists: neither planning nor re-verification runs a PPR sweep."""
-        from repro.serving.cluster import planner
-
-        def fail(*args, **kwargs):  # pragma: no cover - only on regression
-            raise AssertionError("whole-graph shard ran a PPR sweep")
-
-        monkeypatch.setattr(planner, "multi_source_ppr", fail)
-        graph = _make_graph()
-        plan = plan_shards(graph, 1, seed=0, verify=True)
-        assert plan.num_shards == 1 and plan.verified
-        assert plan.shards[0].num_owned == GRAPH_NODES
-        assert plan.shards[0].graph.num_edges == graph.num_edges
-        plan.verify(graph)  # must not raise
-
-        # A new edge the shard's local graph lacks fails verification.
-        grown = _make_graph()
-        relation = grown.relation(grown.relation_names[0])
-        linked = relation.adjacency() + relation.adjacency().T
-        target = int(np.flatnonzero(linked[0].toarray().ravel() == 0)[1])
-        relation.add_edges(np.array([0]), np.array([target]))
-        with pytest.raises(planner.ShardPlanError, match="local edges differ"):
-            plan.verify(grown)
-
-    def test_stats_schema(self):
-        plan = plan_shards(_make_graph(), 2, seed=0, verify=False)
-        stats = plan.stats()
-        assert stats["num_shards"] == 2 and not stats["verified"]
-        assert len(stats["owned_sizes"]) == 2
-        assert len(stats["halo_hops"]) == 2
-
-    def test_invalid_arguments(self):
-        graph = _make_graph()
-        with pytest.raises(ValueError):
-            plan_shards(graph, 0)
-        with pytest.raises(ValueError):
-            plan_shards(graph, 2, halo_hops=-1)
-
-
-# ----------------------------------------------------------------------
-# Router: fan-out/fan-in scoring
+# Router: scoring
 # ----------------------------------------------------------------------
 class TestRouterScoring:
     def test_sharded_waves_bit_identical_to_single_session_oracle(self, artifact):
-        """The tentpole contract: every per-shard wave replays bit-for-bit
-        through a serial full-graph ``score_nodes`` at the same batching."""
-        router = _router(artifact, num_shards=2, record_waves=True,
-                         max_batch_size=8, max_wait_ms=5.0)
+        """Every wave the router's service executed replays bit-for-bit
+        through a serial ``score_nodes`` at the same batching."""
+        router = _router(artifact, record_waves=True, max_batch_size=8, max_wait_ms=5.0)
         results = {}
 
         def client(node):
@@ -156,59 +75,30 @@ class TestRouterScoring:
             thread.start()
         for thread in threads:
             thread.join()
-        router.drain()
+        router.service.drain()
         oracle, _graph = _oracle_session(artifact)
-        waves = 0
         try:
-            for service in router.services:
-                for wave_nodes, wave_probabilities, _seq in service.wave_log:
-                    waves += 1
-                    np.testing.assert_array_equal(
-                        oracle.score_nodes(wave_nodes), wave_probabilities
-                    )
+            waves = router.service.wave_log
+            for wave_nodes, wave_probabilities, _seq in waves:
+                np.testing.assert_array_equal(
+                    oracle.score_nodes(wave_nodes), wave_probabilities
+                )
         finally:
             oracle.close(release_pool=False)
             router.close()
-        assert waves >= 2  # both shards actually served coalesced waves
+        assert len(waves) >= 2
         assert len(results) == 24
         assert all(rows.shape == (1, 2) for rows in results.values())
 
-    def test_fan_in_restores_caller_order_across_shards(self, artifact):
-        # Deterministic batching: submit with dispatchers stopped, then
-        # start them — each shard serves its slice as exactly one wave.
-        router = _router(artifact, num_shards=2, autostart=False,
-                         max_batch_size=16)
-        nodes = [5, 40, 11, 52, 3, 27]
-        handle = router.submit(nodes)
-        for service in router.services:
-            service.start()
-        rows = handle.result(30.0)
-        assert rows.shape == (len(nodes), 2)
-        # Expected: the oracle scores each shard's slice at the same
-        # batching, scattered back to the caller's positions.
-        owners = router.plan.shard_of(np.asarray(nodes))
-        oracle, _graph = _oracle_session(artifact)
-        try:
-            expected = np.empty_like(rows)
-            for shard_id in np.unique(owners):
-                positions = np.flatnonzero(owners == shard_id)
-                expected[positions] = oracle.score_nodes(
-                    np.asarray(nodes)[positions]
-                )
-            np.testing.assert_array_equal(rows, expected)
-        finally:
-            oracle.close(release_pool=False)
-            router.close()
-
     def test_empty_and_invalid_requests(self, artifact):
-        with _router(artifact, num_shards=2) as router:
+        with _router(artifact) as router:
             assert router.score([]).shape == (0, 2)
             with pytest.raises(ValueError, match="out of range"):
                 router.score([GRAPH_NODES + 7])
 
     def test_single_shard_router_matches_plain_service(self, artifact):
         nodes = [11, 3, 27, 5]
-        with _router(artifact, num_shards=1) as router:
+        with _router(artifact) as router:
             rows = router.score(nodes)
         graph = _make_graph()
         detector = api.load_detector(artifact, graph=graph)
@@ -217,29 +107,22 @@ class TestRouterScoring:
 
 
 # ----------------------------------------------------------------------
-# Router: delta fan-out
+# Router: updates
 # ----------------------------------------------------------------------
 class TestRouterUpdates:
     def test_feature_update_read_your_writes_across_shards(self, artifact):
-        router = _router(artifact, num_shards=2)
+        router = _router(artifact)
         node = 7
-        new_row = router.graph.features[node] + 2.0
+        new_row = router.service.graph.features[node] + 2.0
         sequences = router.submit_update(features_changed={node: new_row.copy()})
-        # Feature rows broadcast to every shard's local copy.
-        assert set(sequences) == {0, 1}
+        assert list(sequences) == [0]
         handle = router.submit([node])
         rows = handle.result(30.0)
-        owner = int(router.plan.ownership[node])
-        assert handle.delta_seqs[owner] >= sequences[owner]
-        np.testing.assert_array_equal(router.plan.shards[owner].graph.features[node], new_row)
-        # Shards that served no read apply the row from their idle loop;
-        # once drained, every local copy holds it.
-        router.drain()
-        for spec in router.plan.shards:
-            np.testing.assert_array_equal(spec.graph.features[node], new_row)
+        assert handle.delta_seqs[0] >= sequences[0]
+        np.testing.assert_array_equal(router.service.graph.features[node], new_row)
         router.close()
-        # Bit-identity survives the delta: a fresh full-graph session that
-        # applied the same delta scores the same wave identically.
+        # Bit-identity survives the delta: a fresh session that applied the
+        # same delta scores the same wave identically.
         oracle, _graph = _oracle_session(artifact)
         try:
             oracle.apply_delta(features_changed={node: new_row.copy()})
@@ -250,25 +133,17 @@ class TestRouterUpdates:
     def test_edge_update_lands_on_touched_shards_and_stays_bit_identical(
         self, artifact
     ):
-        router = _router(artifact, num_shards=2)
-        relation = router.graph.relation_names[0]
+        router = _router(artifact)
+        relation = router.service.graph.relation_names[0]
         src, dst = 0, 1
         sequences = router.submit_update(edges_added={relation: ([src], [dst])})
-        touched = {
-            spec.shard_id
-            for spec in router.plan.shards
-            if spec.closure_mask[src] or spec.closure_mask[dst]
-        }
-        assert set(sequences) == touched
-        rows = router.score([src])
-        router.drain()
-        # Each touched shard's local graph now holds the edge.
-        for spec, service in zip(router.plan.shards, router.services):
-            if spec.shard_id in touched:
-                rel = service.graph.relation(relation)
-                assert np.any((rel.src == src) & (rel.dst == dst))
+        handle = router.submit([src])
+        rows = handle.result(30.0)
+        assert handle.delta_seqs[0] >= sequences[0]
+        rel = router.service.graph.relation(relation)
+        assert np.any((rel.src == src) & (rel.dst == dst))
         router.close()
-        oracle, oracle_graph = _oracle_session(artifact)
+        oracle, _graph = _oracle_session(artifact)
         try:
             oracle.apply_delta(edges_added={relation: ([src], [dst])})
             np.testing.assert_array_equal(oracle.score_nodes([src]), rows)
@@ -276,7 +151,7 @@ class TestRouterUpdates:
             oracle.close(release_pool=False)
 
     def test_invalid_update_rejected_with_nothing_enqueued(self, artifact):
-        with _router(artifact, num_shards=2) as router:
+        with _router(artifact) as router:
             with pytest.raises(KeyError, match="unknown relation"):
                 router.submit_update(edges_added={"bogus": ([0], [1])})
             snap = router.snapshot()
@@ -284,129 +159,20 @@ class TestRouterUpdates:
 
 
 # ----------------------------------------------------------------------
-# Routing logic in isolation (stub services, hand-built plan)
+# The adapter over one service
 # ----------------------------------------------------------------------
-class _StubHandle:
-    def __init__(self, rows):
-        self._rows = rows
-        self.delta_seq = -1
-
-    def result(self, timeout=None):
-        return self._rows
-
-
-class _StubService:
-    def __init__(self):
-        self.scored = []
-        self.updates = []
-        self.closed = False
-        self._seq = -1
-
-    def submit(self, nodes, trace=None, trace_parent=None):
-        # Mirrors DetectionService.submit's signature (the router passes
-        # trace kwargs whenever a tracer is armed, e.g. REPRO_TRACE_SAMPLE).
-        nodes = np.asarray(nodes)
-        self.scored.append(nodes)
-        rows = np.stack([nodes.astype(float), np.zeros(nodes.size)], axis=1)
-        return _StubHandle(rows)
-
-    def submit_update(self, edges_added=None, features_changed=None):
-        self.updates.append((edges_added, features_changed))
-        self._seq += 1
-        return self._seq
-
-    def drain(self, timeout=None):
-        pass
-
-    def close(self, drain=True, timeout=None):
-        self.closed = True
-
-    def snapshot(self):
-        return {"requests": len(self.scored)}
-
-
-def _toy_plan():
-    """6 nodes, two shards; closures overlap on nodes {2, 3} only."""
-    features = np.eye(6)
-    relations = {"r": (np.array([0, 2, 4]), np.array([1, 3, 5]))}
-    def local(mask):
-        keep = mask[relations["r"][0]] | mask[relations["r"][1]]
-        return HeteroGraph(
-            6, features.copy(), np.zeros(6, dtype=np.int64),
-            {"r": (relations["r"][0][keep], relations["r"][1][keep])},
-        )
-    ownership = np.array([0, 0, 0, 1, 1, 1])
-    masks = [
-        np.array([True, True, True, True, False, False]),
-        np.array([False, False, True, True, True, True]),
-    ]
-    shards = [
-        ShardSpec(
-            shard_id=i,
-            owned=np.flatnonzero(ownership == i),
-            closure=np.flatnonzero(masks[i]),
-            halo_hops=1,
-            graph=local(masks[i]),
-            closure_mask=masks[i],
-        )
-        for i in range(2)
-    ]
-    graph = HeteroGraph(6, features, np.zeros(6, dtype=np.int64), relations)
-    return ShardPlan(num_shards=2, ownership=ownership, shards=shards, seed=0), graph
-
-
 class TestRoutingLogic:
-    def test_score_routes_by_ownership_and_scatters_in_order(self):
-        plan, graph = _toy_plan()
-        services = [_StubService(), _StubService()]
-        router = ShardRouter(plan, services, graph=graph, release_pool_on_close=False)
-        rows = router.score([5, 0, 3, 1])
-        # Stub rows carry the node id in column 0 — order must be caller's.
-        np.testing.assert_array_equal(rows[:, 0], [5.0, 0.0, 3.0, 1.0])
-        np.testing.assert_array_equal(services[0].scored[0], [0, 1])
-        np.testing.assert_array_equal(services[1].scored[0], [5, 3])
-
-    def test_edge_delta_reaches_only_closure_incident_shards(self):
-        plan, graph = _toy_plan()
-        services = [_StubService(), _StubService()]
-        router = ShardRouter(plan, services, graph=graph, release_pool_on_close=False)
-        # (0, 1): shard 0 only.  (4, 5): shard 1 only.  (2, 3): both.
-        assert set(router.submit_update(edges_added={"r": ([0], [1])})) == {0}
-        assert set(router.submit_update(edges_added={"r": ([4], [5])})) == {1}
-        assert set(router.submit_update(edges_added={"r": ([2], [3])})) == {0, 1}
-        assert len(services[0].updates) == 2
-        assert len(services[1].updates) == 2
-        # The shard sees only its closure-incident edge subset.
-        mixed = router.submit_update(edges_added={"r": ([0, 4], [1, 5])})
-        assert set(mixed) == {0, 1}
-        edges0, _ = services[0].updates[-1]
-        np.testing.assert_array_equal(edges0["r"][0], [0])
-        edges1, _ = services[1].updates[-1]
-        np.testing.assert_array_equal(edges1["r"][0], [4])
-
-    def test_feature_delta_broadcasts_everywhere(self):
-        plan, graph = _toy_plan()
-        services = [_StubService(), _StubService()]
-        router = ShardRouter(plan, services, graph=graph, release_pool_on_close=False)
-        sequences = router.submit_update(features_changed={0: np.ones(6)})
-        assert set(sequences) == {0, 1}
-
-    def test_mismatched_service_count_rejected(self):
-        plan, graph = _toy_plan()
-        with pytest.raises(ValueError, match="2 shard"):
-            ShardRouter(plan, [_StubService()], graph=graph)
-
-    def test_close_closes_every_shard_and_is_idempotent(self):
-        plan, graph = _toy_plan()
-        services = [_StubService(), _StubService()]
-        router = ShardRouter(plan, services, graph=graph, release_pool_on_close=False)
+    def test_close_closes_every_shard_and_is_idempotent(self, artifact):
+        router = _router(artifact)
         router.close()
         router.close()
-        assert all(service.closed for service in services)
+        assert router.service.closed
         with pytest.raises(RuntimeError, match="closed"):
             router.score([0])
         with pytest.raises(RuntimeError, match="closed"):
-            router.submit_update(features_changed={0: np.ones(6)})
+            router.score([])
+        with pytest.raises(RuntimeError, match="closed"):
+            router.submit_update(features_changed={0: np.ones(router.service.graph.num_features)})
 
 
 # ----------------------------------------------------------------------
@@ -415,41 +181,34 @@ class TestRoutingLogic:
 class TestLifecycle:
     def test_clean_shutdown_leaves_no_threads_pool_or_shm(self, artifact):
         before = set(threading.enumerate())
-        router = ShardRouter.from_artifact(
-            artifact, graph=_make_graph(), num_shards=2, seed=0,
-            release_pool_on_close=True,
-        )
+        router = _router(artifact, release_pool_on_close=True)
         router.score([1, 40])
         router.submit_update(
-            features_changed={3: router.graph.features[3] + 1.0}
+            features_changed={3: router.service.graph.features[3] + 1.0}
         )
-        router.drain()
+        router.service.drain()
         router.close()
-        assert router.closed
-        for service in router.services:
-            assert service.closed
-            assert not service._thread.is_alive()
+        assert router.service.closed
+        assert not router.service._thread.is_alive()
         assert biased._shared_pool is None
         assert not biased._shared_payload_registry
         leftover = set(threading.enumerate()) - before
         assert not leftover, f"live threads after close: {leftover}"
 
     def test_context_manager(self, artifact):
-        with _router(artifact, num_shards=2) as router:
+        with _router(artifact) as router:
             assert router.score([1]).shape == (1, 2)
-        assert router.closed
+        assert router.service.closed
 
     def test_snapshot_aggregates_shards(self, artifact):
-        with _router(artifact, num_shards=2) as router:
+        with _router(artifact) as router:
             router.score([1, 40])
-            router.drain()
-            snap = router.snapshot()
-            assert snap["router"]["requests"] == 1
-            assert snap["cluster_totals"]["nodes_scored"] == 2
-            assert len(snap["shards"]) == 2
-            assert snap["plan"]["num_shards"] == 2
-            health = router.healthz()
-            assert health["status"] == "ok" and health["num_shards"] == 2
+            router.service.drain()
+            totals = router.snapshot()["cluster_totals"]
+            assert totals["requests"] == 1
+            assert totals["nodes_scored"] == 2
+            assert totals["requests"] == router.service.metrics.counters()["requests"]
+            assert router.healthz()["status"] == "ok"
 
 
 # ----------------------------------------------------------------------
@@ -528,46 +287,83 @@ class _BlockingStubRouter:
         return {0: 0}
 
     def healthz(self):
-        return {"status": "ok", "num_shards": 1, "uptime_s": 0.0, "shards": []}
+        return {"status": "ok", "uptime_s": 0.0}
 
     def snapshot(self):
-        return {"router": {}, "cluster_totals": {}, "plan": {}, "shards": []}
+        return {"cluster_totals": {}}
+
+
+class _FaultyStubRouter(_BlockingStubRouter):
+    """Router stand-in whose score raises an exception no handler maps."""
+
+    def submit(self, nodes):
+        raise IndexError("stub router fault")
+
+
+def _raw_exchange(port, data, timeout=10.0):
+    """Send raw bytes, read until the server closes; returns the response."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as conn:
+        conn.sendall(data)
+        chunks = []
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _parse(response):
+    """``(status, JSON body)`` of a raw HTTP response."""
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(body)
 
 
 class TestHTTPFrontEnd:
     def test_all_four_endpoints_end_to_end(self, artifact):
-        with _router(artifact, num_shards=2, max_batch_size=8) as router:
+        """Pins the fields the end-to-end benchmark reads."""
+        new_row = (_make_graph().features[3] + 1.0).tolist()
+        with _router(artifact, max_batch_size=8) as router:
             with _ServerThread(router) as server:
                 status, health = server.request("/healthz")
                 assert status == 200 and health["status"] == "ok"
-                assert health["num_shards"] == 2
 
                 status, scored = server.request("/score", {"nodes": [1, 40, 7]})
                 assert status == 200
                 rows = np.asarray(scored["probabilities"])
                 assert rows.shape == (3, 2)
                 np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
+                assert scored["delta_seqs"] == {"0": -1}
 
                 status, updated = server.request(
-                    "/update",
-                    {"features_changed": {"3": (router.graph.features[3] + 1.0).tolist()}},
+                    "/update", {"features_changed": {"3": new_row}}
                 )
-                assert status == 200 and set(updated["shards"]) == {"0", "1"}
+                assert status == 200 and updated["shards"] == {"0": 0}
 
-                # Read-your-writes through HTTP: the next score's delta_seqs
-                # cover the update's sequence numbers.
+                # Read-your-writes through HTTP: the next score is served at
+                # the update's sequence number and sees the new row.
                 status, rescored = server.request("/score", {"nodes": [3]})
                 assert status == 200
-                owner = str(int(router.plan.ownership[3]))
-                assert int(rescored["delta_seqs"][owner]) >= int(updated["shards"][owner])
+                assert rescored["delta_seqs"] == {"0": 0}
 
                 status, metrics = server.request("/metrics")
                 assert status == 200
-                assert metrics["cluster_totals"]["nodes_scored"] >= 4
+                totals = metrics["cluster_totals"]
+                assert totals["requests"] == 2
+                assert totals["nodes_scored"] == 4
+                assert totals["deltas_applied"] == 1
                 assert metrics["admission"]["max_inflight"] > 0
+        oracle, _graph = _oracle_session(artifact)
+        try:
+            oracle.apply_delta(features_changed={3: np.asarray(new_row)})
+            np.testing.assert_array_equal(
+                oracle.score_nodes([3]), np.asarray(rescored["probabilities"])
+            )
+        finally:
+            oracle.close(release_pool=False)
 
     def test_error_statuses(self, artifact):
-        with _router(artifact, num_shards=1) as router:
+        with _router(artifact) as router:
             with _ServerThread(router) as server:
                 assert server.request("/nope")[0] == 404
                 assert server.request("/score", method="GET")[0] == 405
@@ -606,3 +402,87 @@ class TestHTTPFrontEnd:
                 "/score", {"nodes": list(range(1000))}
             )
             assert status == 413 and "cap" in payload["error"]
+
+    def test_non_integer_content_length_answers_400(self):
+        stub = _BlockingStubRouter()
+        with _ServerThread(stub) as server:
+            status, payload = _parse(_raw_exchange(
+                server.port, b"POST /score HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+            ))
+        assert status == 400 and "Content-Length" in payload["error"]
+
+    def test_negative_content_length_answers_400(self):
+        stub = _BlockingStubRouter()
+        with _ServerThread(stub) as server:
+            status, payload = _parse(_raw_exchange(
+                server.port, b"POST /score HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+            ))
+        assert status == 400 and "Content-Length" in payload["error"]
+
+    def test_non_finite_timeout_answers_400(self):
+        # 1e400 parses to inf; waiting on it would raise OverflowError.
+        stub = _BlockingStubRouter()
+        body = b'{"nodes": [0], "timeout": 1e400}'
+        with _ServerThread(stub) as server:
+            status, payload = _parse(_raw_exchange(
+                server.port,
+                b"POST /score HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(body), body),
+            ))
+        assert status == 400 and "timeout" in payload["error"]
+        assert not stub.entered.is_set()
+
+    def test_unexpected_router_exception_answers_500(self):
+        body = b'{"nodes": [0]}'
+        with _ServerThread(_FaultyStubRouter()) as server:
+            status, payload = _parse(_raw_exchange(
+                server.port,
+                b"POST /score HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                % (len(body), body),
+            ))
+        assert status == 500 and "IndexError" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /score HTTP/1.1\r\nHost: x\r\n",  # half a head
+            b"POST /score HTTP/1.1\r\nContent-Length: 20\r\n\r\n{",  # half a body
+        ],
+        ids=["head", "body"],
+    )
+    def test_stalled_request_answers_408_at_the_read_deadline(
+        self, monkeypatch, partial
+    ):
+        monkeypatch.setattr(front_door, "_READ_DEADLINE_S", 0.3)
+        stub = _BlockingStubRouter()
+        with _ServerThread(stub) as server:
+            started = time.monotonic()
+            status, payload = _parse(_raw_exchange(server.port, partial))
+            elapsed = time.monotonic() - started
+        assert status == 408 and "0.3 s" in payload["error"]
+        assert 0.25 <= elapsed < 5.0
+        assert not stub.entered.is_set()
+
+    def test_failed_delta_application_answers_503(self, artifact, monkeypatch):
+        router = _router(artifact)
+
+        def fail(**kwargs):
+            raise RuntimeError("injected apply failure")
+
+        monkeypatch.setattr(router.service.session, "apply_delta", fail)
+        try:
+            with _ServerThread(router) as server:
+                status, _ = server.request(
+                    "/update", {"edges_added": {router.service.graph.relation_names[0]: [[0], [1]]}}
+                )
+                assert status == 200  # validated and sequenced; applied later
+                status, payload = server.request("/score", {"nodes": [0]})
+                assert status == 503 and "injected" in payload["error"]
+                status, health = server.request("/healthz")
+                assert status == 503 and health["status"] == "failed"
+                assert "injected" in health["error"]
+                status, metrics = server.request("/metrics")
+                assert metrics["cluster_totals"]["errors"] == 1
+        finally:
+            with pytest.raises(ServiceFailed):
+                router.close()

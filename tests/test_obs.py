@@ -1,7 +1,7 @@
 """Observability tests: trace sampling/retention/span trees, the metrics
 registry with Prometheus exposition (render + strict validation), histogram
-bucket accessors and cluster-level bucket-merge aggregation, the trace CLI,
-and end-to-end propagation of one request id across a sharded HTTP cluster."""
+bucket accessors and bucket merging, the trace CLI, and end-to-end
+propagation of one request id through the HTTP front door."""
 
 from __future__ import annotations
 
@@ -34,13 +34,7 @@ from repro.obs import (
 )
 from repro.obs.trace import add_ambient_span
 from repro.serving.cluster import ShardRouter
-from repro.serving.metrics import (
-    LatencyHistogram,
-    ServingMetrics,
-    aggregate_latency,
-    aggregate_serving_metrics,
-    percentile_from_buckets,
-)
+from repro.serving.metrics import LatencyHistogram, ServingMetrics
 from tests.conftest import make_separable_graph
 from tests.test_cluster_router import _ServerThread
 
@@ -72,64 +66,11 @@ class TestLatencyHistogram:
             histogram.observe(-0.001)
         assert histogram.count == 0  # rejected samples leave no trace
 
-    def test_percentile_from_buckets_matches_histogram(self):
-        histogram = LatencyHistogram()
-        rng = np.random.default_rng(11)
-        for seconds in rng.uniform(1e-4, 2.0, size=300):
-            histogram.observe(float(seconds))
-        buckets = histogram.buckets()
-        for quantile in (0.0, 0.5, 0.9, 0.99, 1.0):
-            assert percentile_from_buckets(
-                buckets, quantile, histogram.max_s
-            ) == pytest.approx(histogram.percentile(quantile))
-
 
 # ----------------------------------------------------------------------
-# Cluster aggregation: bucket-merge percentiles, counter sums
+# Bucket merging (duplicate histogram samples merge at scrape)
 # ----------------------------------------------------------------------
 class TestAggregation:
-    def test_cluster_p99_merges_buckets_not_max_of_p99s(self):
-        # A lightly loaded slow shard must not dominate the cluster p99:
-        # 198 fast samples on shard A, 2 slow ones on shard B.  max-of-p99s
-        # reports ~1s; the merged distribution's p99 is still fast.
-        fast, slow = LatencyHistogram(), LatencyHistogram()
-        for _ in range(198):
-            fast.observe(0.001)
-        for _ in range(2):
-            slow.observe(1.0)
-        merged = aggregate_latency([fast, slow])
-        max_of_p99s = max(fast.percentile(0.99), slow.percentile(0.99))
-        assert max_of_p99s == pytest.approx(1.0)
-        assert merged["p99_s"] < 0.01 < max_of_p99s
-        # The merged estimate equals what one histogram over all samples says.
-        combined = LatencyHistogram()
-        for _ in range(198):
-            combined.observe(0.001)
-        for _ in range(2):
-            combined.observe(1.0)
-        assert merged["p99_s"] == pytest.approx(combined.percentile(0.99))
-        assert merged["count"] == 200
-        assert merged["max_s"] == pytest.approx(1.0)
-
-    def test_aggregate_serving_metrics_sums_counters_and_recomputes_rates(self):
-        first, second = ServingMetrics(), ServingMetrics()
-        first.increment("requests", 3)
-        first.increment("waves", 2)
-        first.increment("wave_nodes", 8)
-        second.increment("requests", 1)
-        second.increment("waves", 1)
-        second.increment("wave_nodes", 4)
-        first.request_latency.observe(0.002)
-        second.request_latency.observe(0.004)
-        totals = aggregate_serving_metrics([first, second])
-        assert totals["requests"] == 4
-        assert totals["waves"] == 3
-        assert totals["batch_occupancy"] == pytest.approx(12 / 3)
-        assert totals["requests_per_wave"] == pytest.approx(4 / 3)
-        assert totals["request_latency"]["count"] == 2
-        assert totals["request_latency"]["min_s"] == pytest.approx(0.002)
-        assert totals["request_latency"]["max_s"] == pytest.approx(0.004)
-
     def test_merge_buckets_rejects_mismatched_bounds(self):
         with pytest.raises(ValueError):
             merge_buckets([[(0.1, 1), (math.inf, 1)], [(0.2, 1), (math.inf, 1)]])
@@ -300,13 +241,13 @@ class TestMetricsRegistry:
         metrics.request_latency.observe(0.003)
         metrics.queue_wait.observe(0.001)
         metrics.model_time.observe(0.002)
-        registry.register("shard", lambda: metrics.metric_families({"shard": "0"}))
+        registry.register("service", lambda: metrics.metric_families({"service": "g"}))
         text = registry.prometheus_text()
         kinds = validate_exposition(text)
         assert kinds["repro_test_requests_total"] == "counter"
         assert kinds["repro_test_depth"] == "gauge"
         assert kinds["repro_serving_request_latency_seconds"] == "histogram"
-        assert 'shard="0"' in text
+        assert 'service="g"' in text
         assert render_prometheus(registry.collect()) == text
 
     @pytest.mark.parametrize(
@@ -369,7 +310,7 @@ class TestTraceRendering:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: one HTTP request, one trace, every shard leg
+# End-to-end: one HTTP request, one trace
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def artifact(tmp_path_factory):
@@ -425,17 +366,14 @@ class TestClusterTracePropagation:
         router = ShardRouter.from_artifact(
             artifact,
             graph=make_separable_graph(num_nodes=GRAPH_NODES, seed=GRAPH_SEED),
-            num_shards=2, seed=0, release_pool_on_close=False,
+            release_pool_on_close=False,
             tracer=tracer, registry=registry,
         )
         request_id = "feedc0de00000001"
         try:
-            # Nodes picked from each shard's owned set: the request must fan out.
-            nodes = [int(spec.owned[0]) for spec in router.plan.shards]
-            nodes += [int(spec.owned[-1]) for spec in router.plan.shards]
             with _ServerThread(router) as server:
                 status, headers, body = _raw_request(
-                    server.port, "/score", body={"nodes": nodes},
+                    server.port, "/score", body={"nodes": [0, 17, 42, 5]},
                     headers={"X-Repro-Request-Id": request_id},
                 )
                 assert status == 200
@@ -452,24 +390,19 @@ class TestClusterTracePropagation:
                     trace for trace in listing["traces"]
                     if trace["request_id"] == request_id
                 ]
-                assert len(traces) == 1  # ONE trace covers the whole fan-out
+                assert len(traces) == 1  # ONE trace covers the whole request
                 trace = traces[0]
 
                 names = [item["name"] for item in trace["spans"]]
                 assert names[0] == "http_score"
-                for required in ("admission", "route", "queue_wait", "wave",
+                for required in ("admission", "queue_wait", "wave",
                                  "wave_collate", "model_forward"):
                     assert required in names, required
-                legs = [
-                    item for item in trace["spans"] if item["name"] == "shard_leg"
-                ]
-                assert {leg["attributes"]["shard"] for leg in legs} == {0, 1}
                 _assert_containment(trace)
-                # queue_wait/wave spans hang off their shard's leg, not the root.
-                leg_ids = {leg["span_id"] for leg in legs}
+                # queue_wait/wave spans hang off the request's root span.
                 for item in trace["spans"]:
                     if item["name"] in ("queue_wait", "wave"):
-                        assert item["parent_id"] in leg_ids
+                        assert item["parent_id"] == ROOT_SPAN_ID
 
                 # /traces honours ?limit= without erroring on junk.
                 status, _headers, body = _raw_request(
@@ -485,23 +418,20 @@ class TestClusterTracePropagation:
                 assert headers.get("Content-Type", "").startswith("text/plain")
                 text = body.decode("utf-8")
                 kinds = validate_exposition(text)
-                assert kinds["repro_cluster_requests_total"] == "counter"
+                assert kinds["repro_serving_requests_total"] == "counter"
                 assert kinds["repro_serving_request_latency_seconds"] == "histogram"
-                assert 'shard="0"' in text and 'shard="1"' in text
+                assert 'service="' in text
 
-                # JSON /metrics carries the bucket-merged cluster totals.
+                # JSON /metrics carries the service's totals.
                 status, _headers, body = _raw_request(server.port, "/metrics")
                 snapshot = json.loads(body)
                 totals = snapshot["cluster_totals"]
                 assert totals["requests"] >= 1
                 assert totals["request_latency"]["count"] >= 1
 
-            # snapshot() reports the same single-aggregation-path totals.
             totals = router.snapshot()["cluster_totals"]
-            per_shard = sum(
-                service.metrics.request_latency.count for service in router.services
-            )
-            assert totals["request_latency"]["count"] == per_shard >= 1
+            service_count = router.service.metrics.request_latency.count
+            assert totals["request_latency"]["count"] == service_count >= 1
         finally:
             router.close()
 
@@ -510,23 +440,20 @@ class TestClusterTracePropagation:
         router = ShardRouter.from_artifact(
             artifact,
             graph=make_separable_graph(num_nodes=GRAPH_NODES, seed=GRAPH_SEED),
-            num_shards=2, seed=0, release_pool_on_close=False,
+            release_pool_on_close=False,
             tracer=tracer, registry=MetricsRegistry(),
         )
         try:
-            nodes = np.array(
-                [int(spec.owned[0]) for spec in router.plan.shards], dtype=np.int64
-            )
-            handle = router.submit(nodes)
-            probabilities = handle.result()
+            nodes = np.array([0, 40], dtype=np.int64)
+            probabilities = router.submit(nodes).result()
             assert probabilities.shape == (nodes.size, 2)
         finally:
             router.close()
-        # No HTTP front door: the router owned the trace and finished it
-        # exactly once when the last leg resolved.
+        # No HTTP front door: the service owned the trace and finished it
+        # exactly once when the request resolved.
         assert tracer.stats()["kept"] == 1
         trace = tracer.recent()[0]
         names = [item["name"] for item in trace["spans"]]
         assert names[0] == "score"
-        assert names.count("shard_leg") == 2
+        assert "queue_wait" in names and "wave" in names
         _assert_containment(trace)

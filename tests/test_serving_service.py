@@ -4,6 +4,7 @@ scoring, read-your-writes update sequencing, telemetry, and lifecycle."""
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro import api
 from repro.core import BSG4Bot, BSG4BotConfig
 from repro.sampling import biased
-from repro.serving import DeltaLog, DetectionService, ServiceClosed
+from repro.serving import DeltaLog, DetectionService, ServiceClosed, ServiceFailed
 from tests.conftest import make_separable_graph
 
 GRAPH_SEED = 33
@@ -427,3 +428,49 @@ class TestLifecycle:
         import json
 
         json.dumps(snapshot)  # must stay JSON-serializable for the CLI
+
+
+class TestDeltaFailure:
+    """One rule for a failed delta application, on either path: the service
+    is failed, scores and updates raise ``ServiceFailed``, ``health()``
+    reports it, ``errors`` counts it once, and ``applied_seq`` never claims
+    the delta."""
+
+    @staticmethod
+    def _fail(**kwargs):
+        raise RuntimeError("injected apply failure")
+
+    def _assert_failed(self, service, seq):
+        health = service.health()
+        assert health["status"] == "failed" and "injected" in health["error"]
+        assert service.delta_log.applied_seq < seq
+        with pytest.raises(ServiceFailed, match="injected"):
+            service.score([0])
+        with pytest.raises(ServiceFailed, match="injected"):
+            service.submit_update(features_changed={0: service.graph.features[0]})
+        assert service.snapshot()["errors"] == 1
+        with pytest.raises(ServiceFailed):
+            service.close()
+        assert not service._thread.is_alive()
+
+    def test_idle_path_failure_fails_the_service(self, artifact, monkeypatch):
+        service = _service(artifact)
+        monkeypatch.setattr(service.session, "apply_delta", self._fail)
+        # No score traffic: only the dispatcher's idle loop applies it.
+        seq = service.submit_update(features_changed={0: service.graph.features[0] + 1.0})
+        deadline = time.monotonic() + 30.0
+        while service.health()["status"] != "failed" and time.monotonic() < deadline:
+            time.sleep(0.01)
+        self._assert_failed(service, seq)
+
+    def test_pre_wave_failure_rejects_the_wave_and_fails_the_service(
+        self, artifact, monkeypatch
+    ):
+        service = _service(artifact, autostart=False)
+        monkeypatch.setattr(service.session, "apply_delta", self._fail)
+        seq = service.submit_update(features_changed={0: service.graph.features[0] + 1.0})
+        handle = service.submit([0])  # queued first: the delta applies pre-wave
+        service.start()
+        with pytest.raises(ServiceFailed, match="injected"):
+            handle.result(30.0)
+        self._assert_failed(service, seq)
